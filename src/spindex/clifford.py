@@ -3,7 +3,9 @@
 Elements are stored blade-wise: a blade is a bitmask over the basis vectors
 (bit ``i`` set means ``e_{i+1}`` occurs), which keeps every basis monomial in
 the canonical increasing-index form.  Coefficients are exact Gaussian
-rationals (see :mod:`spindex.exactnum`); float/complex coefficients are also
+rationals (see :mod:`spindex.exactnum`); an exact product clears each
+operand's denominators once, multiplies Gaussian-integer numerators and
+divides once per result coefficient.  Float/complex coefficients are also
 accepted for angle-parametrized constructions, in which case arithmetic is
 plain IEEE.
 
@@ -13,11 +15,12 @@ Sign convention: generators square to minus their quadratic-form value,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, realify, solve
 
 MAX_DIM = 16
 
@@ -34,6 +37,8 @@ class QuadraticForm:
 
     dim: int
     signs: Tuple[int, ...]
+    #: bit i set when signs[i] == +1, i.e. when e_{i+1}**2 == -1
+    positive_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.dim <= MAX_DIM):
@@ -42,6 +47,8 @@ class QuadraticForm:
             raise ValueError("signs length must equal dim")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs entries must be exactly +1 or -1")
+        object.__setattr__(self, "positive_mask",
+                           sum(1 << i for i, s in enumerate(self.signs) if s == 1))
 
     @classmethod
     def euclidean(cls, dim: int) -> "QuadraticForm":
@@ -90,13 +97,26 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(i) for i in blade_indices(mask))
 
 
-def _reorder_swaps(a: int, b: int) -> int:
-    """Transpositions needed to interleave e_A e_B into canonical order."""
-    swaps = 0
-    for i in range(b.bit_length()):
-        if b >> i & 1:
-            swaps += (a >> (i + 1)).bit_count()
-    return swaps
+def _sign_mask(b: int, positive_mask: int) -> int:
+    """Mask M with e_A e_B = (-1)^popcount(A & M) e_{A^B} for every blade A.
+
+    Bit j of the prefix xor of ``b << 1`` is the parity of the indices of B
+    below j, the transpositions e_j makes to pass them; each repeated index
+    with a positive form value contributes e_j**2 = -1.  A 16-bit xor window
+    covers every index of MAX_DIM = 16.
+    """
+    x = b << 1
+    x ^= x << 1
+    x ^= x << 2
+    x ^= x << 4
+    x ^= x << 8
+    return x ^ (b & positive_mask)
+
+
+def blade_sign(a: int, b: int, positive_mask: int) -> int:
+    """The sign s with e_A e_B = s e_{A^B}; ``positive_mask`` has bit i set
+    when q(e_{i+1}) = +1 (see :attr:`QuadraticForm.positive_mask`)."""
+    return -1 if (a & _sign_mask(b, positive_mask)).bit_count() & 1 else 1
 
 
 def blade_product(a: int, b: int, form: QuadraticForm) -> Tuple[GaussianRational, int]:
@@ -108,22 +128,7 @@ def blade_product(a: int, b: int, form: QuadraticForm) -> Tuple[GaussianRational
     limit = 1 << form.dim
     if a >= limit or b >= limit:
         raise ValueError("blade does not fit in the quadratic form dimension")
-    sign = -1 if _reorder_swaps(a, b) & 1 else 1
-    common = a & b
-    for i in range(common.bit_length()):
-        if common >> i & 1:
-            sign *= -form.signs[i]
-    return GaussianRational(sign), a ^ b
-
-
-def _blade_mul_sign(a: int, b: int, signs: Tuple[int, ...]) -> int:
-    sign = -1 if _reorder_swaps(a, b) & 1 else 1
-    common = a & b
-    while common:
-        low = common & -common
-        sign *= -signs[low.bit_length() - 1]
-        common ^= low
-    return sign
+    return GaussianRational(blade_sign(a, b, form.positive_mask)), a ^ b
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,14 @@ class Multivector:
             if value:
                 clean[mask] = value
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, form: QuadraticForm, terms: Dict[int, Coefficient]) -> "Multivector":
+        """Wrap terms already known to be in range, nonzero and exact."""
+        out = object.__new__(cls)
+        out.form = form
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -245,15 +258,34 @@ class Multivector:
         if not isinstance(other, Multivector):
             return self._scale(other)
         self._check_form(other)
-        signs = self.form.signs
-        acc: Dict[int, Coefficient] = {}
-        for ma, va in self._terms.items():
-            for mb, vb in other._terms.items():
-                s = _blade_mul_sign(ma, mb, signs)
-                m = ma ^ mb
-                term = va * vb if s == 1 else -(va * vb)
-                acc[m] = acc[m] + term if m in acc else term
-        return Multivector(self.form, acc)
+        pos = self.form.positive_mask
+        left, right = _numerators(self._terms), _numerators(other._terms)
+        if left is None or right is None:
+            # inexact coefficients: plain float arithmetic term by term
+            acc: Dict[int, Coefficient] = {}
+            for ma, va in self._terms.items():
+                for mb, vb in other._terms.items():
+                    m = ma ^ mb
+                    term = va * vb if blade_sign(ma, mb, pos) == 1 else -(va * vb)
+                    acc[m] = acc[m] + term if m in acc else term
+            return Multivector(self.form, acc)
+        # (a_re + i a_im)(b_re + i b_im) over the denominator da * db
+        da, a_re, a_im = left
+        db, b_re, b_im = right
+        re: Dict[int, int] = {}
+        im: Dict[int, int] = {}
+        _int_product(a_re, b_re, pos, re)
+        if a_im or b_im:
+            _int_product(a_im, b_im, pos, re, -1)
+            _int_product(a_re, b_im, pos, im)
+            _int_product(a_im, b_re, pos, im)
+        den = da * db
+        out = {}
+        for m in (re.keys() | im.keys()) if im else re:
+            r, i = re.get(m, 0), im.get(m, 0)
+            if r or i:
+                out[m] = GaussianRational.over(r, i, den)
+        return Multivector._trusted(self.form, out)
 
     def __rmul__(self, other):
         # scalars commute with everything we ever scale by
@@ -330,8 +362,8 @@ class Multivector:
     def _inverse_by_solving(self) -> "Multivector":
         n = self.form.dim
         size = 1 << n
-        exact = all(isinstance(v, GaussianRational) for v in self._terms.values())
-        if not exact:
+        cleared = _numerators(self._terms)
+        if cleared is None:
             import numpy as np
             mat = np.zeros((size, size), dtype=complex)
             for col in range(size):
@@ -345,15 +377,23 @@ class Multivector:
             except np.linalg.LinAlgError:
                 raise ZeroDivisionError("multivector is not invertible")
             return Multivector(self.form, {m: sol[m] for m in range(size)})
-        rows = [[GaussianRational(0)] * size for _ in range(size)]
-        for col in range(size):
-            prod = self * Multivector(self.form, {col: GaussianRational(1)})
-            for m, v in prod._terms.items():
-                rows[m][col] = v
-        rhs = [GaussianRational(0)] * size
-        rhs[0] = GaussianRational(1)
-        sol = _solve_exact(rows, rhs)
-        return Multivector(self.form, dict(enumerate(sol)))
+        # left multiplication by self = (re + i*im) / den; column col of
+        # each integer part is that part times e_col
+        den, re, im = cleared
+        parts = []
+        for part in (re, im):
+            mat = [[0] * size for _ in range(size)]
+            for col in range(size):
+                column: Dict[int, int] = {}
+                _int_product(part, {col: 1}, self.form.positive_mask, column)
+                for m, v in column.items():
+                    mat[m][col] = v
+            parts.append(mat)
+        mat = realify(*parts) if im else parts[0]
+        y, d = solve(mat, [den] + [0] * (len(mat) - 1))
+        im_y = y[size:] if im else [0] * size
+        return Multivector(self.form, {m: GaussianRational.over(y[m], im_y[m], d)
+                                       for m in range(size)})
 
     # -- serialization ---------------------------------------------------------
 
@@ -392,22 +432,39 @@ def _coeff_reciprocal(c):
     return 1.0 / c
 
 
-def _solve_exact(rows: List[List[GaussianRational]], rhs: List[GaussianRational]):
-    """Gaussian elimination over Q(i); raises ZeroDivisionError if singular."""
-    n = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("multivector is not invertible")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = GaussianRational(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+def _numerators(terms: Dict[int, Coefficient]
+                ) -> Optional[Tuple[int, Dict[int, int], Dict[int, int]]]:
+    """Clear denominators once: ``(den, re, im)`` with integer maps such that
+    each coefficient is ``(re[m] + i*im[m]) / den``, zero parts omitted; None
+    when some coefficient is inexact."""
+    den = 1
+    for v in terms.values():
+        if type(v) is not GaussianRational:
+            return None
+        if type(v.re) is not int:
+            den = lcm(den, v.re.denominator)
+        if type(v.im) is not int:
+            den = lcm(den, v.im.denominator)
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    for m, v in terms.items():
+        if v.re:
+            re[m] = v.re.numerator * (den // v.re.denominator)
+        if v.im:
+            im[m] = v.im.numerator * (den // v.im.denominator)
+    return den, re, im
+
+
+def _int_product(a: Dict[int, int], b: Dict[int, int], positive_mask: int,
+                 acc: Dict[int, int], sign: int = 1) -> None:
+    """Add ``sign * a * b`` for integer-coefficient multivectors into ``acc``
+    (cancelled coefficients stay as zeros)."""
+    right = [(mb, _sign_mask(mb, positive_mask), sign * vb) for mb, vb in b.items()]
+    for ma, va in a.items():
+        for mb, mask, vb in right:
+            m = ma ^ mb
+            t = va * vb
+            acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +530,14 @@ def classify_real(plus: int, minus: int) -> AlgebraType:
     if n > 12:
         raise ValueError("real classification capped at 12 generators")
     form = QuadraticForm.of_signature(plus, minus)
-    signs = form.signs
+    pos = form.positive_mask
 
     center = _center_blades(n)
     # trace form B(x, y) = scalar part of x*y is diagonal on blades; its
     # signature separates R / C / H blocks.
     signature = 0
     for mask in range(1 << n):
-        signature += _blade_mul_sign(mask, mask, signs)
+        signature += blade_sign(mask, mask, pos)
 
     if len(center) == 1:
         if signature > 0:
@@ -493,7 +550,7 @@ def classify_real(plus: int, minus: int) -> AlgebraType:
             raise ArithmeticError("central simple algebra with zero signature")
     else:
         vol = center[1]
-        vol_sq = _blade_mul_sign(vol, vol, signs)
+        vol_sq = blade_sign(vol, vol, pos)
         if vol_sq == -1:
             k = 1 << ((n - 1) // 2)
             algebra = AlgebraType((("C", k),))

@@ -1,32 +1,69 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars and exact integer linear algebra.
 
-Coefficients of multivectors live in Q(i): pairs of ``fractions.Fraction``.
-Real algebras simply keep the imaginary part at zero.  All arithmetic is
-exact; there is no rounding anywhere in this module.
+Coefficients of multivectors live in Q(i).  A component is stored as an
+``int`` exactly when it is integral and as a ``fractions.Fraction``
+otherwise, so the common integral case never pays for a gcd.  Real algebras
+simply keep the imaginary part at zero.  All arithmetic is exact; there is
+no rounding anywhere in this module.
+
+Linear algebra over Q(i) is reduced to one integer routine, the fraction-free
+elimination of Bareiss (Math. Comp. 22 (1968) 565): callers clear
+denominators once and split a Gaussian system into its real and imaginary
+halves (:func:`realify`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
 
+def _canon(x: RationalLike) -> RationalLike:
+    """x as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(num: int, den: int) -> RationalLike:
+    """num / den in canonical form (never a float)."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _make(re: RationalLike, im: RationalLike) -> "GaussianRational":
+    z = object.__new__(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
+
+
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number a + b*i with exact rational a, b (each an int when integral)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _canon(re)
+        self.im = _canon(im)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def over(cls, re: int, im: int, den: int) -> "GaussianRational":
+        """(re + im*i) / den for integers re, im and a nonzero integer den."""
+        return _make(_ratio(re, den), _ratio(im, den))
+
+    @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
+        if type(value) is GaussianRational:
             return value
         if isinstance(value, (int, Fraction)):
             return cls(value)
@@ -42,18 +79,20 @@ class GaussianRational:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.to_complex() + other
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() + other
+            other = GaussianRational.coerce(other)
+        return _make(_canon(self.re + other.re), _canon(self.im + other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.to_complex() - other
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() - other
+            other = GaussianRational.coerce(other)
+        return _make(_canon(self.re - other.re), _canon(self.im - other.im))
 
     def __rsub__(self, other):
         if isinstance(other, (float, complex)):
@@ -61,28 +100,31 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.to_complex() * other
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() * other
+            other = GaussianRational.coerce(other)
         if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            return _make(_canon(self.re * other.re), 0)
+        return _make(
+            _canon(self.re * other.re - self.im * other.im),
+            _canon(self.re * other.im + self.im * other.re),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.to_complex() / other
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() / other
+            other = GaussianRational.coerce(other)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+        # Fraction(a, n), not a / n: two ints would divide to a float
+        return _make(
+            _canon(Fraction(self.re * other.re + self.im * other.im, n)),
+            _canon(Fraction(self.im * other.re - self.re * other.im, n)),
         )
 
     def __rtruediv__(self, other):
@@ -91,21 +133,21 @@ class GaussianRational:
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- predicates & conversions -------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
+        if type(other) is GaussianRational:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
         return NotImplemented
 
     def __hash__(self):
@@ -126,10 +168,76 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
+# ---------------------------------------------------------------------------
+# exact linear algebra
+# ---------------------------------------------------------------------------
+
+def bareiss(a: List[List[int]]) -> int:
+    """Fraction-free elimination of an integer matrix with n rows and at
+    least n columns, in place (Bareiss, Math. Comp. 22 (1968) 565).
+
+    Returns the determinant of the leading n x n block.  Every division is
+    exact, so entries stay integers bounded by minors of the input.  When
+    the determinant is nonzero, ``a`` ends upper triangular in its first n
+    columns with ``a[n-1][n-1] == ±det``; row operations keep any further
+    (augmented) columns consistent with the same linear system.
+    """
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k = a[k]
+        p = row_k[k]
+        tail = row_k[k + 1:]
+        for r in range(k + 1, n):
+            row = a[r]
+            f = row[k]
+            row[k] = 0
+            row[k + 1:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return sign * prev
 
 
-def as_fraction_string(x: Fraction) -> str:
-    return str(x)
+def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Tuple[List[int], int]:
+    """Solve ``a x = b`` for a square integer matrix.
+
+    Returns integers ``(y, d)`` with ``x = y / d``.  Raises
+    ``ZeroDivisionError`` when ``a`` is singular.
+    """
+    n = len(a)
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    if not bareiss(m):
+        raise ZeroDivisionError("singular matrix")
+    d = m[n - 1][n - 1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        s = d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        # d * x is integral (Cramer's rule), so this division is exact
+        y[i] = s // row[i]
+    return y, d
+
+
+def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    scale = 1
+    ints = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return Fraction(bareiss(ints), scale)
+
+
+def realify(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The real matrix [[re, -im], [im, re]] of the Gaussian integer matrix
+    re + i*im: it maps (Re x, Im x) to (Re Ax, Im Ax), and its determinant
+    is |det(re + i*im)|^2."""
+    return ([list(r) + [-x for x in i] for r, i in zip(re, im)]
+            + [list(i) + list(r) for r, i in zip(re, im)])

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple, Union
 
+from . import exactnum
 from .clifford import (GaussianRational, Multivector, QuadraticForm,
                        blade_grade)
 
@@ -94,7 +96,7 @@ class RotationMatrix:
 
     def determinant(self) -> Union[Fraction, float]:
         if self.is_exact():
-            return _exact_det([list(r) for r in self.entries])
+            return exactnum.det(self.entries)
         import numpy as np
         return float(np.linalg.det(self.to_numpy()))
 
@@ -102,22 +104,26 @@ class RotationMatrix:
                               tol: float = 0.0) -> bool:
         """M^T Q M == Q and det M == +1 (exactly when entries are exact)."""
         n = self.dim
-        q = [Fraction(s) for s in form.signs]
+        if self.is_exact():
+            # column j is cols[j] / dens[j] with integer cols[j]
+            dens = [lcm(*(e.denominator for e in self.column(j))) for j in range(n)]
+            cols = [[e.numerator * (d // e.denominator) for e in self.column(j)]
+                    for j, d in enumerate(dens)]
+            for i in range(n):
+                for j in range(i, n):
+                    acc = sum(s * a * b for s, a, b in zip(form.signs, cols[i], cols[j]))
+                    if acc != (form.signs[i] * dens[i] * dens[j] if i == j else 0):
+                        return False
+            return self.determinant() == 1
         for i in range(n):
             for j in range(n):
-                acc: Union[Fraction, float] = Fraction(0) if self.is_exact() else 0.0
+                acc = 0.0
                 for r in range(n):
-                    acc += self.entries[r][i] * q[r] * self.entries[r][j]
-                target = q[i] if i == j else 0
-                if self.is_exact():
-                    if acc != target:
-                        return False
-                elif abs(acc - target) > max(tol, FLOAT_TOL):
+                    acc += self.entries[r][i] * form.signs[r] * self.entries[r][j]
+                target = form.signs[i] if i == j else 0
+                if abs(acc - target) > max(tol, FLOAT_TOL):
                     return False
-        det = self.determinant()
-        if self.is_exact():
-            return det == 1
-        return abs(det - 1.0) <= max(tol, FLOAT_TOL)
+        return abs(self.determinant() - 1.0) <= max(tol, FLOAT_TOL)
 
     def to_json(self) -> dict:
         if self.is_exact():
@@ -131,26 +137,6 @@ class RotationMatrix:
             abs(float(a) - float(b)) <= tol
             for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb))
-
-
-def _exact_det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +177,7 @@ def _certify(x: Multivector, tol: float = FLOAT_TOL):
     elif abs(complex(norm) - 1) > tol:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
     try:
-        matrix = _conjugation_matrix(x, tol)
+        matrix = _conjugation_matrix(x, tol, norm)
     except NotInvertibleError:
         return SpinCertificate(False, "element is not invertible"), None
     except NotScalarNormError:
@@ -201,11 +187,25 @@ def _certify(x: Multivector, tol: float = FLOAT_TOL):
     return SpinCertificate(True), matrix
 
 
-def _conjugation_matrix(x: Multivector, tol: float = FLOAT_TOL) -> RotationMatrix:
+def _conjugation_matrix(x: Multivector, tol: float = FLOAT_TOL,
+                        norm: Optional[GaussianRational] = None
+                        ) -> RotationMatrix:
+    """Matrix of v -> x v alpha(x)^-1 on the generators.
+
+    ``norm`` is N(x) when the caller has already computed it.  For exact x
+    with scalar N(x), alpha(x)^-1 = rev(x) N(x)^-1 (alpha and rev commute),
+    so no general inverse is needed; float elements keep the general
+    inverse, whose rounding the float results were produced with.
+    """
     form = x.form
     exact = _is_exact(x)
     try:
-        alpha_inv = x.inverse().grade_involution()
+        if exact:
+            if norm is None:
+                norm = spin_norm(x)
+            alpha_inv = x.reversal() if norm == 1 else x.reversal() * (1 / norm)
+        else:
+            alpha_inv = x.inverse().grade_involution()
     except ZeroDivisionError as exc:
         raise NotInvertibleError("twisting element is not invertible") from exc
     cols = []
@@ -220,7 +220,7 @@ def _conjugation_matrix(x: Multivector, tol: float = FLOAT_TOL) -> RotationMatri
             if isinstance(c, GaussianRational):
                 if exact and c.im != 0:
                     raise NotScalarNormError("vector image has imaginary part")
-                col.append(c.re if exact else float(c.re))
+                col.append(Fraction(c.re) if exact else float(c.re))
             else:
                 col.append(float(complex(c).real))
         cols.append(col)

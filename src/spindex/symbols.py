@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import spinors
+from . import exactnum, spinors
 from .exactnum import GaussianRational
 from .spinors import CliffordModule
 
@@ -281,27 +281,10 @@ def _exact_symbol_singular(sym: SymbolPolynomial, xi: Tuple[int, ...]) -> bool:
                 rows[r][c] = rows[r][c] + factor * entry
     if rows is None:
         return True
-    return not _exact_det(rows)
-
-
-def _exact_det(rows: List[List[GaussianRational]]) -> GaussianRational:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = GaussianRational(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return GaussianRational(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = GaussianRational(1) / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    # the entries are Gaussian integers; the realified determinant is
+    # |det|^2, zero exactly when det is
+    return exactnum.bareiss(exactnum.realify([[v.re for v in row] for row in rows],
+                                             [[v.im for v in row] for row in rows])) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,15 @@ def test_spin_lift_and_cover_round_trip_generic_angle(capsys):
     assert abs(rows[2][0] - math.sin(theta)) < 1e-12
 
 
+def test_spin_cover_integral_element_output(capsys):
+    element = json.dumps({"dim": 3, "signs": [1, 1, 1],
+                          "terms": [{"blade": [1, 2], "re": "1", "im": "0"}]})
+    code, out, _ = run(capsys, "spin-cover", "--element", element)
+    assert code == 0
+    assert out == ('{"dim": 3, "rows": [["-1", "0", "0"], ["0", "-1", "0"], '
+                   '["0", "0", "1"]]}\n')
+
+
 def test_spin_cover_rejects_non_spin(capsys):
     element = json.dumps({"dim": 2, "signs": [1, 1],
                           "terms": [{"blade": [1], "re": "1", "im": "0"}]})

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindex.clifford import (AlgebraType, FormMismatchError, GaussianRational,
                               Multivector, QuadraticForm, blade_from_indices,
@@ -41,16 +43,21 @@ def word_product_oracle(word, signs):
     return sign, tuple(word)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_blade_product_matches_word_reduction(n):
-    form = QuadraticForm.euclidean(n)
-    for a in range(1 << n):
-        for b in range(1 << n):
-            coeff, mask = blade_product(a, b, form)
-            sign, word = word_product_oracle(
-                list(blade_indices(a)) + list(blade_indices(b)), form.signs)
-            assert mask == blade_from_indices(word)
-            assert coeff == GaussianRational(sign)
+    signatures = {(1,) * n, (-1,) * n,
+                  tuple((-1) ** i for i in range(n)),
+                  tuple(-(-1) ** i for i in range(n)),
+                  (1,) * (n // 2) + (-1,) * (n - n // 2)}
+    for signs in signatures:
+        form = QuadraticForm(n, signs)
+        for a in range(1 << n):
+            for b in range(1 << n):
+                coeff, mask = blade_product(a, b, form)
+                sign, word = word_product_oracle(
+                    list(blade_indices(a)) + list(blade_indices(b)), form.signs)
+                assert mask == blade_from_indices(word)
+                assert coeff == GaussianRational(sign)
 
 
 def test_blade_product_spec_cases():
@@ -298,3 +305,104 @@ def test_quadratic_form_validation():
         QuadraticForm(2, (1, 0))
     with pytest.raises(ValueError):
         QuadraticForm(20, (1,) * 20)
+
+
+# ---------------------------------------------------------------------------
+# properties over random Gaussian-rational elements of Cl(p, q), n <= 6
+# ---------------------------------------------------------------------------
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_gaussians = st.tuples(_rationals, _rationals | st.just(Fraction(0)))
+
+
+@st.composite
+def _forms(draw, max_dim=6):
+    n = draw(st.integers(1, max_dim))
+    return QuadraticForm(n, tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                                min_size=n, max_size=n))))
+
+
+def _elements(form, max_terms=6):
+    return st.dictionaries(st.integers(0, (1 << form.dim) - 1), _gaussians,
+                           max_size=max_terms)
+
+
+def _multivector(form, pairs):
+    return Multivector(form, {m: GaussianRational(re, im) for m, (re, im) in pairs.items()})
+
+
+def _oracle_product(x, y, signs):
+    """Product of coefficient maps {mask: (re, im)} by word reduction."""
+    acc = {}
+    for ma, (ar, ai) in x.items():
+        for mb, (br, bi) in y.items():
+            sign, word = word_product_oracle(
+                list(blade_indices(ma)) + list(blade_indices(mb)), signs)
+            m = blade_from_indices(word)
+            re, im = acc.get(m, (0, 0))
+            acc[m] = (re + sign * (ar * br - ai * bi), im + sign * (ar * bi + ai * br))
+    return {m: v for m, v in acc.items() if v != (0, 0)}
+
+
+def _canonical_pairs(x):
+    """Coefficients as (re, im) Fractions; every integral part must be an int."""
+    out = {}
+    for m, v in x.terms().items():
+        for part in (v.re, v.im):
+            assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+        out[m] = (Fraction(v.re), Fraction(v.im))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_matches_word_reduction_property(data):
+    form = data.draw(_forms())
+    x, y = data.draw(_elements(form)), data.draw(_elements(form))
+    product = _multivector(form, x) * _multivector(form, y)
+    assert _canonical_pairs(product) == _oracle_product(x, y, form.signs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_versor_inverse_property(data):
+    form = data.draw(_forms())
+    one = Multivector.scalar(form, 1)
+    x = one
+    for _ in range(data.draw(st.integers(1, 3))):
+        coords = data.draw(st.lists(_rationals, min_size=form.dim, max_size=form.dim)
+                           .filter(lambda c: form.value(c) != 0))
+        x = x * Multivector.vector(form, coords)
+    inv = x.inverse()
+    assert x * inv == one and inv * x == one
+    _canonical_pairs(inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_general_inverse_property(data):
+    """Elements with a dominant scalar part are invertible (the left
+    multiplication by a blade is a signed permutation); most have no scalar
+    norm and take the elimination path, which is also called directly."""
+    form = data.draw(_forms(max_dim=5))
+    pairs = data.draw(_elements(form))
+    pairs[0] = (1 + sum(abs(re) + abs(im) for m, (re, im) in pairs.items() if m), Fraction(0))
+    x = _multivector(form, pairs)
+    one = Multivector.scalar(form, 1)
+    for inv in (x.inverse(), x._inverse_by_solving()):
+        assert x * inv == one and inv * x == one
+        _canonical_pairs(inv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_zero_divisors_are_not_inverted_property(data):
+    """(1 + e_i) y with e_i**2 = +1 is a zero divisor: (1 - e_i)(1 + e_i) = 0."""
+    form = data.draw(_forms(max_dim=5).filter(lambda f: -1 in f.signs))
+    i = data.draw(st.sampled_from([k for k, s in enumerate(form.signs) if s == -1]))
+    y = _multivector(form, data.draw(_elements(form)))
+    x = Multivector(form, {0: GaussianRational(1), 1 << i: GaussianRational(1)}) * y
+    with pytest.raises(ZeroDivisionError):
+        x.inverse()
+    with pytest.raises(ZeroDivisionError):
+        x._inverse_by_solving()

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spindex.exactnum import GaussianRational
+from spindex.exactnum import GaussianRational, bareiss, det, realify, solve
 
 
 def test_field_arithmetic():
@@ -42,3 +44,75 @@ def test_division_by_zero():
 def test_rejects_inexact_coercion():
     with pytest.raises(TypeError):
         GaussianRational.coerce(0.5 + 0j)
+
+
+def test_integral_parts_are_ints_and_division_stays_exact():
+    one, three = GaussianRational(1), GaussianRational(3)
+    assert type(one.re) is int and type(one.im) is int
+    third = one / three
+    assert third == GaussianRational(Fraction(1, 3))
+    assert type(third.re) is Fraction
+    assert type((third * three).re) is int
+    assert GaussianRational(Fraction(6, 3), Fraction(4, 2)).re == 2
+    assert type(GaussianRational(Fraction(6, 3)).re) is int
+    assert GaussianRational(2, 2) / GaussianRational(1, 1) == GaussianRational(2)
+    assert GaussianRational(1) / GaussianRational(0, 2) == GaussianRational(0, Fraction(-1, 2))
+
+
+def test_over_builds_from_integer_numerators():
+    z = GaussianRational.over(6, -4, 4)
+    assert z == GaussianRational(Fraction(3, 2), -1)
+    assert type(z.im) is int
+    assert GaussianRational.over(3, 0, -3) == GaussianRational(-1)
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+_entries = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Rational matrices up to 5 x 5; about half made singular by replacing
+    the last row with a combination of the others."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        weights = draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0))
+                    for j in range(n)]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_matrices())
+def test_bareiss_det_matches_cofactor_expansion(rows):
+    assert det(rows) == _cofactor_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_solve_property(data):
+    n = data.draw(st.integers(1, 5))
+    ints = st.integers(-9, 9)
+    a = [data.draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
+    b = data.draw(st.lists(ints, min_size=n, max_size=n))
+    if bareiss([row[:] for row in a]) == 0:
+        with pytest.raises(ZeroDivisionError):
+            solve(a, b)
+        return
+    y, d = solve(a, b)
+    assert d != 0
+    assert [sum(x * v for x, v in zip(row, y)) for row in a] == [d * v for v in b]
+
+
+def test_realify_determinant_is_squared_modulus():
+    re, im = [[1, 2], [0, 1]], [[0, 1], [3, 0]]
+    # det(re + i*im) = (1)(1) - (2 + i)(3i) = 4 - 6i
+    assert det(realify(re, im)) == 4 ** 2 + 6 ** 2
+    assert bareiss(realify([[1, 1], [1, 1]], [[1, 1], [1, 1]])) == 0

@@ -162,6 +162,16 @@ def test_rotation_matrix_exactness():
         assert rot.determinant() == 1
 
 
+def test_covering_map_of_integral_element_is_exact():
+    e3 = QuadraticForm.euclidean(3)
+    e12 = Multivector.basis_vector(e3, 1) * Multivector.basis_vector(e3, 2)
+    rot = covering_map(SpinElement(e12))
+    assert all(type(e) is Fraction for row in rot.entries for e in row)
+    assert rot.is_exact()
+    assert rot.to_json() == {"dim": 3, "rows": [["-1", "0", "0"], ["0", "-1", "0"],
+                                                ["0", "0", "1"]]}
+
+
 def test_rational_unit_vectors():
     rng = np.random.default_rng(11)
     for dim in (1, 2, 3, 4, 5):
