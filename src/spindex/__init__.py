@@ -25,8 +25,7 @@ from .torus_index import (AmbiguousKernelError, FamilySpec, FluxBundleSpec,
                           IndexResult, LatticeOperator, NonConvergenceError,
                           build_torus_dirac, constant_family,
                           disjoint_union_index, gauge_transform, index,
-                          kernel_dimension, shift_family, spectral_flow,
-                          symbol_of_lattice_operator)
+                          kernel_dimension, shift_family, spectral_flow)
 
 __version__ = "0.1.0"
 

@@ -263,22 +263,18 @@ class Multivector:
         if left is None or right is None:
             # inexact coefficients: plain float arithmetic term by term
             acc: Dict[int, Coefficient] = {}
-            for ma, va in self._terms.items():
-                for mb, vb in other._terms.items():
-                    m = ma ^ mb
-                    term = va * vb if blade_sign(ma, mb, pos) == 1 else -(va * vb)
-                    acc[m] = acc[m] + term if m in acc else term
+            _product(self._terms, other._terms, pos, acc)
             return Multivector(self.form, acc)
         # (a_re + i a_im)(b_re + i b_im) over the denominator da * db
         da, a_re, a_im = left
         db, b_re, b_im = right
         re: Dict[int, int] = {}
         im: Dict[int, int] = {}
-        _int_product(a_re, b_re, pos, re)
+        _product(a_re, b_re, pos, re)
         if a_im or b_im:
-            _int_product(a_im, b_im, pos, re, -1)
-            _int_product(a_re, b_im, pos, im)
-            _int_product(a_im, b_re, pos, im)
+            _product(a_im, b_im, pos, re, -1)
+            _product(a_re, b_im, pos, im)
+            _product(a_im, b_re, pos, im)
         den = da * db
         out = {}
         for m in (re.keys() | im.keys()) if im else re:
@@ -385,7 +381,7 @@ class Multivector:
             mat = [[0] * size for _ in range(size)]
             for col in range(size):
                 column: Dict[int, int] = {}
-                _int_product(part, {col: 1}, self.form.positive_mask, column)
+                _product(part, {col: 1}, self.form.positive_mask, column)
                 for m, v in column.items():
                     mat[m][col] = v
             parts.append(mat)
@@ -455,10 +451,10 @@ def _numerators(terms: Dict[int, Coefficient]
     return den, re, im
 
 
-def _int_product(a: Dict[int, int], b: Dict[int, int], positive_mask: int,
-                 acc: Dict[int, int], sign: int = 1) -> None:
-    """Add ``sign * a * b`` for integer-coefficient multivectors into ``acc``
-    (cancelled coefficients stay as zeros)."""
+def _product(a: Dict[int, Coefficient], b: Dict[int, Coefficient],
+             positive_mask: int, acc: Dict[int, Coefficient], sign: int = 1) -> None:
+    """Add ``sign * a * b`` for multivectors given as blade -> coefficient
+    dicts into ``acc`` (cancelled coefficients stay as zeros)."""
     right = [(mb, _sign_mask(mb, positive_mask), sign * vb) for mb, vb in b.items()]
     for ma, va in a.items():
         for mb, mask, vb in right:

@@ -246,7 +246,11 @@ class SpinElement:
         return self.value.form
 
     def __neg__(self) -> "SpinElement":
-        return SpinElement(-self.value)
+        # N(-u) = N(u) and -u covers the same rotation: nothing to certify
+        out = object.__new__(SpinElement)
+        object.__setattr__(out, "value", -self.value)
+        object.__setattr__(out, "_matrix", self._matrix)
+        return out
 
     def __mul__(self, other: "SpinElement") -> "SpinElement":
         return SpinElement(self.value * other.value)

@@ -128,12 +128,10 @@ def dirac_operator(n: int) -> OperatorSpec:
 # ellipticity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    points: Optional[int] = None      # default 4^dim, capped
-    refine_rounds: int = 60
-    probes_per_round: int = 24
-    relative_tol: float = 1e-8
+MAX_SPHERE_POINTS = 4096    # is_elliptic samples 4^dim points, capped here
+REFINE_ROUNDS = 60
+PROBES_PER_ROUND = 24
+ELLIPTIC_RTOL = 1e-8        # smallest singular value below this x scale: not elliptic
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,7 @@ def _sphere_points(n: int, count: int) -> np.ndarray:
     return np.array(pts)
 
 
-def is_elliptic(sym: SymbolPolynomial,
-                samples: Optional[SamplingSpec] = None) -> EllipticityReport:
+def is_elliptic(sym: SymbolPolynomial) -> EllipticityReport:
     """Invertibility of the symbol on the unit sphere, by low-discrepancy
     sampling plus local refinement around the worst direction.
 
@@ -184,10 +181,8 @@ def is_elliptic(sym: SymbolPolynomial,
     snaps to a small integer covector the degeneracy is re-verified with an
     exact determinant (homogeneity makes scaling irrelevant).
     """
-    spec = samples or SamplingSpec()
     n = sym.base_dim
-    count = spec.points or min(4 ** n, 4096)
-    pts = list(_sphere_points(n, count))
+    pts = list(_sphere_points(n, min(4 ** n, MAX_SPHERE_POINTS)))
     for i in range(n):
         axis = np.zeros(n)
         axis[i] = 1.0
@@ -207,8 +202,8 @@ def is_elliptic(sym: SymbolPolynomial,
 
     # local refinement: shrink a probe ball around the running minimizer
     radius = 0.5
-    probe_dirs = _sphere_points(n, spec.probes_per_round)
-    for _ in range(spec.refine_rounds):
+    probe_dirs = _sphere_points(n, PROBES_PER_ROUND)
+    for _ in range(REFINE_ROUNDS):
         improved = False
         for d in probe_dirs:
             cand = best_v + radius * d
@@ -224,7 +219,7 @@ def is_elliptic(sym: SymbolPolynomial,
             if radius < 1e-14:
                 break
 
-    threshold = spec.relative_tol * max(scale, 1e-300)
+    threshold = ELLIPTIC_RTOL * max(scale, 1e-300)
     if best > threshold:
         return EllipticityReport(True, float(best), float(scale), len(pts))
     witness = tuple(float(x) for x in best_v)

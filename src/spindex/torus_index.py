@@ -9,7 +9,7 @@ operator built from the Wilson kernel (central differences plus Wilson term,
 mass in (0, 2)).  Its modified grading splits the space into pieces whose
 dimensions differ by exactly the spectral asymmetry, so the chiral blocks are
 genuinely rectangular, mutually adjoint, and their kernel dimensions realize
-dim ker - dim coker with honest gap certificates.
+dim ker - dim coker with gap certificates.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import symbols
+from . import spinors
 
-_S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_S3 = np.array([[1, 0], [0, -1]], dtype=complex)
-_G1, _G2 = 1j * _S1, 1j * _S2      # paper convention gamma^2 = -1
+_G1, _G2 = spinors.gamma_matrices(2)      # paper convention gamma^2 = -1
 
 MAX_DENSE_N = 24
+ZERO_THRESHOLD = float(np.sqrt(np.finfo(float).eps))  # times the largest singular value
+MIN_GAP_RATIO = 1e3      # required smallest kept / largest zero singular value
 
 
 class AmbiguousKernelError(RuntimeError):
@@ -93,11 +92,13 @@ class LatticeOperator:
     """
 
     def __init__(self, spec: FluxBundleSpec):
+        self._assemble(spec, *flux_links(spec))
+
+    def _assemble(self, spec: FluxBundleSpec, ux: np.ndarray, uy: np.ndarray) -> None:
         self.spec = spec
-        self.ux, self.uy = flux_links(spec)
-        n = spec.lattice_size
+        self.ux, self.uy = ux, uy
         v = spec.sites
-        t1, t2 = _shift_operators(self.ux, self.uy)
+        t1, t2 = _shift_operators(ux, uy)
         d1 = (t1 - t1.conj().T) * 0.5
         d2 = (t2 - t2.conj().T) * 0.5
         self.matrix = sp.csr_matrix(
@@ -113,19 +114,10 @@ class LatticeOperator:
             - m0 * sp.identity(2 * v, dtype=complex))
         self._overlap: Optional[_Overlap] = None
 
-    @property
-    def size(self) -> int:
-        return 2 * self.spec.sites
-
     def plaquette_phases(self) -> np.ndarray:
-        n = self.spec.lattice_size
         ux, uy = self.ux, self.uy
-        out = np.zeros((n, n), dtype=complex)
-        for x in range(n):
-            for y in range(n):
-                out[x, y] = (ux[x, y] * uy[(x + 1) % n, y]
-                             * np.conj(ux[x, (y + 1) % n]) * np.conj(uy[x, y]))
-        return out
+        return (ux * np.roll(uy, -1, axis=0)
+                * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
 
     def overlap(self) -> "_Overlap":
         if self._overlap is None:
@@ -145,28 +137,16 @@ class LatticeOperator:
 
 
 def _shift_operators(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Link-weighted forward shifts: site (x, y) is row x*N + y, and t1
+    (t2) carries ux[x, y] (uy[x, y]) to the neighbour at x + 1 (y + 1)."""
     n = ux.shape[0]
-    v = n * n
-    rows1 = np.zeros(v, dtype=int)
-    cols1 = np.zeros(v, dtype=int)
-    data1 = np.zeros(v, dtype=complex)
-    rows2 = np.zeros(v, dtype=int)
-    cols2 = np.zeros(v, dtype=int)
-    data2 = np.zeros(v, dtype=complex)
-    k = 0
-    for x in range(n):
-        for y in range(n):
-            i = x * n + y
-            rows1[k] = i
-            cols1[k] = ((x + 1) % n) * n + y
-            data1[k] = ux[x, y]
-            rows2[k] = i
-            cols2[k] = x * n + (y + 1) % n
-            data2[k] = uy[x, y]
-            k += 1
-    t1 = sp.csr_matrix((data1, (rows1, cols1)), shape=(v, v))
-    t2 = sp.csr_matrix((data2, (rows2, cols2)), shape=(v, v))
-    return t1, t2
+    site = np.arange(n * n).reshape(n, n)
+
+    def shift(links: np.ndarray, axis: int) -> sp.csr_matrix:
+        cols = np.roll(site, -1, axis=axis).ravel()
+        return sp.csr_matrix((links.ravel(), (site.ravel(), cols)), shape=(n * n, n * n))
+
+    return shift(ux, 0), shift(uy, 1)
 
 
 def build_torus_dirac(spec: FluxBundleSpec) -> LatticeOperator:
@@ -178,41 +158,30 @@ def build_torus_dirac(spec: FluxBundleSpec) -> LatticeOperator:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TolerancePolicy:
-    threshold_factor: float = float(np.sqrt(np.finfo(float).eps))
-    min_gap_ratio: float = 1e3
-
-
-@dataclass(frozen=True)
 class KernelResult:
     dimension: int
     gap: float            # smallest singular value kept as nonzero
     largest_zero: float   # largest singular value accepted as zero
     threshold: float
 
-    def __int__(self):
-        return self.dimension
 
-
-def kernel_dimension(op, policy: Optional[TolerancePolicy] = None) -> KernelResult:
+def kernel_dimension(op) -> KernelResult:
     """Numerical kernel dimension of a (possibly rectangular) matrix.
 
     Counts singular values below sqrt(machine eps) times the largest one;
     a matrix with more columns than rows contributes the shape deficit as
     exact zeros.  Raises :class:`AmbiguousKernelError` unless the accepted
-    zeros are separated from the rest by the policy's gap ratio.
+    zeros lie at least ``MIN_GAP_RATIO`` below the rest.
     """
-    policy = policy or TolerancePolicy()
     a = np.asarray(op.toarray() if sp.issparse(op) else op, dtype=complex)
     if a.ndim != 2:
         raise ValueError("kernel_dimension expects a matrix")
-    ncols = a.shape[1]
     svals = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.array([])
-    implicit = ncols - len(svals)
+    implicit = a.shape[1] - len(svals)
     if not len(svals):
         return KernelResult(implicit, np.inf, 0.0, 0.0)
     scale = float(svals[0])
-    threshold = policy.threshold_factor * max(scale, 1e-300)
+    threshold = ZERO_THRESHOLD * max(scale, 1e-300)
     below = svals[svals < threshold]
     kept = svals[svals >= threshold]
     dimension = implicit + len(below)
@@ -220,10 +189,10 @@ def kernel_dimension(op, policy: Optional[TolerancePolicy] = None) -> KernelResu
     gap = float(kept[-1]) if len(kept) else np.inf
     if len(below) and len(kept):
         ratio = gap / max(largest_zero, 1e-300)
-        if ratio < policy.min_gap_ratio:
+        if ratio < MIN_GAP_RATIO:
             raise AmbiguousKernelError(
                 f"zero modes not separated: gap ratio {ratio:.2e} < "
-                f"{policy.min_gap_ratio:.0e}; refine the lattice")
+                f"{MIN_GAP_RATIO:.0e}; refine the lattice")
     return KernelResult(dimension, gap, largest_zero, threshold)
 
 
@@ -235,8 +204,7 @@ class _Overlap:
     """Overlap operator data computed from a Wilson kernel and a grading."""
 
     def __init__(self, kernel: np.ndarray, grading: np.ndarray):
-        gam = grading
-        h = gam[:, None] * kernel
+        h = grading[:, None] * kernel
         if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
             raise ValueError("hermitized Wilson kernel is not hermitian")
         evals, evecs = np.linalg.eigh(h)
@@ -247,8 +215,7 @@ class _Overlap:
                 "Wilson kernel has a near-zero mode; the sign function is "
                 "ill-defined (shift the mass or refine the lattice)")
         sign = (evecs * np.sign(evals)) @ evecs.conj().T
-        size = kernel.shape[0]
-        self.operator = np.eye(size) + gam[:, None] * sign
+        self.operator = np.eye(kernel.shape[0]) + grading[:, None] * sign
         self.hgap = hgap
         self.sign_trace = float(np.trace(sign).real)
         # modified grading -sign(H): its +1 eigenspace is the H-negative space
@@ -261,7 +228,7 @@ class _Overlap:
         """Chirality split of ker(overlap); exact because the kernel is
         invariant under the grading."""
         w, q = np.linalg.eigh(self.operator.conj().T @ self.operator)
-        thr = np.sqrt(np.finfo(float).eps) * max(float(w[-1]), 1e-300)
+        thr = ZERO_THRESHOLD * max(float(w[-1]), 1e-300)
         null = q[:, w < thr]
         if null.shape[1] == 0:
             return 0, 0
@@ -293,14 +260,18 @@ class IndexResult:
                 "index": self.index, "gap": self.spectral_gap}
 
 
-def index(op: LatticeOperator, policy: Optional[TolerancePolicy] = None) -> IndexResult:
-    """Fredholm index of the chiral blocks, with three independent readings
-    (kernel counts, zero-mode chiralities, spectral asymmetry) required to
-    agree."""
+def _kernel_counts(dplus: np.ndarray) -> Tuple[KernelResult, KernelResult]:
+    """Kernel dimensions of the chiral blocks D+ and D- = (D+)^*."""
+    return kernel_dimension(dplus), kernel_dimension(dplus.conj().T)
+
+
+def index(op: LatticeOperator) -> IndexResult:
+    """Fredholm index of the chiral blocks.  Kernel counts, zero-mode
+    chiralities and spectral asymmetry must agree; that guards against
+    numerical failure only, since the first equals the blocks' shape
+    difference and the second equals -1/2 Tr sign(H_W) (Luscher 1998)."""
     ov = op.overlap()
-    dplus, dminus = op.chiral_blocks()
-    ker_plus = kernel_dimension(dplus, policy)
-    ker_minus = kernel_dimension(dminus, policy)
+    ker_plus, ker_minus = _kernel_counts(ov.dplus)
     idx = ker_plus.dimension - ker_minus.dimension
     asym = -0.5 * ov.sign_trace
     if abs(asym - round(asym)) > 1e-6 or int(round(asym)) != idx:
@@ -316,60 +287,33 @@ def index(op: LatticeOperator, policy: Optional[TolerancePolicy] = None) -> Inde
                        ker_plus.dimension, ker_minus.dimension, idx, float(gap))
 
 
-def disjoint_union_index(a: LatticeOperator, b: LatticeOperator,
-                         policy: Optional[TolerancePolicy] = None) -> int:
+def disjoint_union_index(a: LatticeOperator, b: LatticeOperator) -> int:
     """Index over the block direct sum of two lattice operators."""
-    kernel = np.block([
-        [a.wilson_kernel.toarray(),
-         np.zeros((a.size, b.size), dtype=complex)],
-        [np.zeros((b.size, a.size), dtype=complex),
-         b.wilson_kernel.toarray()],
-    ])
+    kernel = sp.block_diag((a.wilson_kernel, b.wilson_kernel)).toarray()
     grading = np.concatenate([a.grading, b.grading])
-    ov = _Overlap(kernel, grading)
-    dplus = ov.dplus
-    ker_plus = kernel_dimension(dplus, policy)
-    ker_minus = kernel_dimension(dplus.conj().T, policy)
+    ker_plus, ker_minus = _kernel_counts(_Overlap(kernel, grading).dplus)
     return ker_plus.dimension - ker_minus.dimension
 
 
 def gauge_transform(op: LatticeOperator, phases: np.ndarray) -> LatticeOperator:
     """Conjugate all link variables by a site-local U(1) gauge change."""
-    n = op.spec.lattice_size
-    if phases.shape != (n, n):
+    if phases.shape != op.ux.shape:
         raise ValueError("phase array must be N x N")
     g = np.exp(1j * phases)
     out = LatticeOperator.__new__(LatticeOperator)
-    out.spec = op.spec
-    out.ux = op.ux * g * np.conj(np.roll(g, -1, axis=0))
-    out.uy = op.uy * g * np.conj(np.roll(g, -1, axis=1))
-    t1, t2 = _shift_operators(out.ux, out.uy)
-    d1 = (t1 - t1.conj().T) * 0.5
-    d2 = (t2 - t2.conj().T) * 0.5
-    out.matrix = sp.csr_matrix(
-        sp.kron(sp.csr_matrix(_G1), d1) + sp.kron(sp.csr_matrix(_G2), d2))
-    out.grading = op.grading.copy()
-    v = op.spec.sites
-    r, m0 = op.spec.wilson_r, op.spec.wilson_mass
-    wilson = 0.5 * r * (4.0 * sp.identity(v, dtype=complex)
-                        - t1 - t1.conj().T - t2 - t2.conj().T)
-    out.wilson_kernel = sp.csr_matrix(
-        -1j * out.matrix + sp.kron(sp.identity(2, dtype=complex), wilson)
-        - m0 * sp.identity(2 * v, dtype=complex))
-    out._overlap = None
+    out._assemble(op.spec, op.ux * g * np.conj(np.roll(g, -1, axis=0)),
+                  op.uy * g * np.conj(np.roll(g, -1, axis=1)))
     return out
-
-
-def symbol_of_lattice_operator(spec: FluxBundleSpec) -> symbols.SymbolPolynomial:
-    """Continuum principal symbol of the discretized operator: the naive
-    central difference contributes i*cl(xi), the Wilson term is lower order
-    after scaling."""
-    return symbols.principal_symbol(symbols.dirac_operator(2))
 
 
 # ---------------------------------------------------------------------------
 # spectral flow
 # ---------------------------------------------------------------------------
+
+FLOW_STEPS = 64          # intervals of the first grid
+FLOW_REFINEMENTS = 8     # step halvings before NonConvergenceError
+ENDPOINT_TOL = 1e-9      # relative size of an endpoint eigenvalue read as zero
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -378,15 +322,10 @@ class FamilySpec:
     t_start: float
     t_end: float
     builder: Callable[[float], np.ndarray]
-    initial_steps: int = 64
-    endpoint_tol: float = 1e-9
-    max_refinements: int = 8
 
     def __post_init__(self):
         if self.t_end == self.t_start:
             raise ValueError("parameter interval is degenerate")
-        if self.initial_steps < 1:
-            raise ValueError("need at least one step")
 
 
 def spectral_flow(fam: FamilySpec) -> int:
@@ -399,12 +338,12 @@ def spectral_flow(fam: FamilySpec) -> int:
     for t in (fam.t_start, fam.t_end):
         evals = _herm_eigs(fam.builder(t))
         scale = max(float(np.max(np.abs(evals))), 1.0)
-        if np.min(np.abs(evals)) < fam.endpoint_tol * scale:
+        if np.min(np.abs(evals)) < ENDPOINT_TOL * scale:
             raise NonConvergenceError(
                 f"endpoint t = {t} has an eigenvalue within tolerance of zero")
-    steps = fam.initial_steps
+    steps = FLOW_STEPS
     previous = None
-    for _ in range(fam.max_refinements + 1):
+    for _ in range(FLOW_REFINEMENTS + 1):
         flow = _flow_on_grid(fam, steps)
         if previous is not None and flow == previous:
             return flow

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spindex.clifford import GaussianRational, Multivector, QuadraticForm
-from spindex.spin_groups import (NotScalarNormError, SpinElement,
+from spindex.spin_groups import (FLOAT_TOL, NotScalarNormError, SpinElement,
                                  _conjugation_matrix, covering_map,
                                  is_in_spin, lift_rotation,
                                  rational_unit_vector, random_spin_element,
@@ -149,6 +149,15 @@ def test_kernel_is_exactly_plus_minus_one():
         for j, w in enumerate(elements):
             if covering_map(u).entries == covering_map(w).entries and i != j:
                 assert w.value in (u.value, -u.value)
+
+
+def test_negated_float_element_keeps_its_cover():
+    u = (lift_rotation(1, 2, 0.3, F4) * lift_rotation(2, 3, 1.1, F4)
+         * lift_rotation(3, 4, -0.7, F4))
+    neg = -u
+    assert neg.value == -u.value
+    recomputed = _conjugation_matrix(-u.value).to_numpy()
+    assert np.max(np.abs(covering_map(neg).to_numpy() - recomputed)) <= FLOAT_TOL
 
 
 def test_rotation_matrix_exactness():

@@ -3,14 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from spindex import symbols
 from spindex import torus_index as ti
 from spindex.torus_index import (AmbiguousKernelError, FluxBundleSpec,
                                  NonConvergenceError, build_torus_dirac,
                                  constant_family, disjoint_union_index,
                                  gauge_transform, index, kernel_dimension,
-                                 shift_family, spectral_flow,
-                                 symbol_of_lattice_operator)
+                                 shift_family, spectral_flow)
 
 
 def test_spec_validation():
@@ -120,6 +118,26 @@ def test_gauge_invariance_single_trial():
     assert index(moved).index == 2
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_gauge_transform_by_zero_phases_is_identity(n):
+    op = build_torus_dirac(FluxBundleSpec(n, 1))
+    same = gauge_transform(op, np.zeros((n, n)))
+    assert np.array_equal(same.matrix.toarray(), op.matrix.toarray())
+    assert np.array_equal(same.wilson_kernel.toarray(), op.wilson_kernel.toarray())
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_shift_operator_layout(n):
+    rng = np.random.default_rng(n)
+    ux, uy = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, n, n)))
+    t1, t2 = ti._shift_operators(ux, uy)
+    assert t1.nnz == t2.nnz == n * n
+    for x in range(n):
+        for y in range(n):
+            assert t1[x * n + y, ((x + 1) % n) * n + y] == ux[x, y]
+            assert t2[x * n + y, x * n + (y + 1) % n] == uy[x, y]
+
+
 def test_lattice_stability_small_sweep():
     for n in (12, 14):
         assert index(build_torus_dirac(FluxBundleSpec(n, 2))).index == 2
@@ -134,17 +152,6 @@ def test_index_robust_to_wilson_parameters():
 def test_index_result_json_schema():
     data = index(build_torus_dirac(FluxBundleSpec(8, 1))).to_json()
     assert set(data) == {"N", "d", "dim_ker_plus", "dim_ker_minus", "index", "gap"}
-
-
-def test_symbol_of_lattice_operator():
-    sym = symbol_of_lattice_operator(FluxBundleSpec(8, 1))
-    assert symbols.is_elliptic(sym).elliptic
-    xi = (0.6, -0.8)
-    m = sym.evaluate(xi)
-    assert np.allclose(m @ m, np.eye(2))        # |xi| = 1
-    from spindex import spinors
-    gammas = spinors.gamma_matrices(2)
-    assert np.allclose(m, 1j * (xi[0] * gammas[0] + xi[1] * gammas[1]))
 
 
 def test_export_triplets():
