@@ -146,8 +146,8 @@ def _cmd_abs_winding(args) -> int:
     if args.k != 2:
         raise ValueError("winding is computed on the circle; use --k 2")
     sc = _winding_class(args.module)
-    winding = symbols.winding_number(sc, grid=args.grid)
-    payload = {"k": 2, "winding": winding, "samples": args.grid}
+    winding = symbols.winding_number(sc)
+    payload = {"k": 2, "winding": winding, "samples": symbols.WINDING_GRID}
     _emit(args, payload, [f"winding({args.module}) = {winding}"])
     return EXIT_OK
 
@@ -275,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abs-winding", help="winding of a clutching determinant")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--module", choices=_WINDING_MODULES, default="s2")
-    p.add_argument("--grid", type=int, default=4096)
     common(p)
     p.set_defaults(func=_cmd_abs_winding)
 

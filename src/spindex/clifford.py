@@ -206,9 +206,6 @@ class Multivector:
     def scalar_part(self) -> Coefficient:
         return self._terms.get(0, GaussianRational(0))
 
-    def grades(self):
-        return sorted({blade_grade(m) for m in self._terms})
-
     def grade_part(self, k: int) -> "Multivector":
         return Multivector(self.form, {m: v for m, v in self._terms.items()
                                        if blade_grade(m) == k})

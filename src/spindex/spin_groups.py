@@ -56,12 +56,12 @@ def spin_norm(x: Multivector) -> Union[GaussianRational, complex]:
     return scalar
 
 
-def _negligible(x: Multivector, tol: float = FLOAT_TOL) -> bool:
+def _negligible(x: Multivector) -> bool:
     for v in x.terms().values():
         if isinstance(v, GaussianRational):
             if v:
                 return False
-        elif abs(complex(v)) > tol:
+        elif abs(complex(v)) > FLOAT_TOL:
             return False
     return True
 
@@ -100,8 +100,7 @@ class RotationMatrix:
         import numpy as np
         return float(np.linalg.det(self.to_numpy()))
 
-    def is_special_orthogonal(self, form: QuadraticForm,
-                              tol: float = 0.0) -> bool:
+    def is_special_orthogonal(self, form: QuadraticForm) -> bool:
         """M^T Q M == Q and det M == +1 (exactly when entries are exact)."""
         n = self.dim
         if self.is_exact():
@@ -121,9 +120,9 @@ class RotationMatrix:
                 for r in range(n):
                     acc += self.entries[r][i] * form.signs[r] * self.entries[r][j]
                 target = form.signs[i] if i == j else 0
-                if abs(acc - target) > max(tol, FLOAT_TOL):
+                if abs(acc - target) > FLOAT_TOL:
                     return False
-        return abs(self.determinant() - 1.0) <= max(tol, FLOAT_TOL)
+        return abs(self.determinant() - 1.0) <= FLOAT_TOL
 
     def to_json(self) -> dict:
         if self.is_exact():
@@ -132,9 +131,9 @@ class RotationMatrix:
             rows = [[float(e) for e in row] for row in self.entries]
         return {"dim": self.dim, "rows": rows}
 
-    def isclose(self, other: "RotationMatrix", tol: float = FLOAT_TOL) -> bool:
+    def isclose(self, other: "RotationMatrix") -> bool:
         return self.dim == other.dim and all(
-            abs(float(a) - float(b)) <= tol
+            abs(float(a) - float(b)) <= FLOAT_TOL
             for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb))
 
@@ -149,23 +148,23 @@ class SpinCertificate:
     reason: Optional[str] = None
 
 
-def is_in_spin(x: Multivector, tol: float = FLOAT_TOL) -> SpinCertificate:
+def is_in_spin(x: Multivector) -> SpinCertificate:
     """Check the Spin(V,q) membership conditions one by one.
 
     Even-ness, unit norm, real coefficients, preservation of the span of
     1-blades under twisted conjugation, and orientation det +1.
     """
-    return _certify(x, tol)[0]
+    return _certify(x)[0]
 
 
-def _certify(x: Multivector, tol: float = FLOAT_TOL):
+def _certify(x: Multivector):
     exact = _is_exact(x)
     for mask, v in x.terms().items():
         if blade_grade(mask) & 1:
             return SpinCertificate(False, "element has an odd component"), None
         if exact and not v.is_real():
             return SpinCertificate(False, "coefficients are not real"), None
-        if not exact and abs(complex(v).imag) > tol:
+        if not exact and abs(complex(v).imag) > FLOAT_TOL:
             return SpinCertificate(False, "coefficients are not real"), None
     try:
         norm = spin_norm(x)
@@ -174,21 +173,20 @@ def _certify(x: Multivector, tol: float = FLOAT_TOL):
     if exact:
         if norm != 1:
             return SpinCertificate(False, f"norm is {norm}, not 1"), None
-    elif abs(complex(norm) - 1) > tol:
+    elif abs(complex(norm) - 1) > FLOAT_TOL:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
     try:
-        matrix = _conjugation_matrix(x, tol, norm)
+        matrix = _conjugation_matrix(x, norm)
     except NotInvertibleError:
         return SpinCertificate(False, "element is not invertible"), None
     except NotScalarNormError:
         return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
-    if not matrix.is_special_orthogonal(x.form, tol):
+    if not matrix.is_special_orthogonal(x.form):
         return SpinCertificate(False, "image is not special orthogonal"), None
     return SpinCertificate(True), matrix
 
 
-def _conjugation_matrix(x: Multivector, tol: float = FLOAT_TOL,
-                        norm: Optional[GaussianRational] = None
+def _conjugation_matrix(x: Multivector, norm: Optional[GaussianRational] = None
                         ) -> RotationMatrix:
     """Matrix of v -> x v alpha(x)^-1 on the generators.
 
@@ -212,7 +210,7 @@ def _conjugation_matrix(x: Multivector, tol: float = FLOAT_TOL,
     for i in range(1, form.dim + 1):
         image = x * Multivector.basis_vector(form, i) * alpha_inv
         off = image - image.grade_part(1)
-        if not _negligible(off, tol):
+        if not _negligible(off):
             raise NotScalarNormError("image of a vector is not a vector")
         coords = image.grade_part(1).vector_coords()
         col = []

@@ -308,14 +308,6 @@ class ModuleDecomposition:
     def multiplicity(self, label: str) -> int:
         return self.multiplicities.get(label, 0)
 
-    def total_dimension(self) -> int:
-        k, per = self.clifford_dim, 0
-        if self.graded:
-            per = 1 << ((k + 1) // 2)
-        else:
-            per = 1 << (k // 2)
-        return per * sum(self.multiplicities.values())
-
     def __eq__(self, other):
         if not isinstance(other, ModuleDecomposition):
             return NotImplemented

@@ -335,28 +335,27 @@ def abs_class(module: CliffordModule) -> SymbolClass:
     return SymbolClass(k, basis_plus.shape[1], basis_minus.shape[1], clutching)
 
 
-def winding_number(sc: SymbolClass, grid: int = 4096, tol: float = 1e-6,
-                   max_doublings: int = 4) -> int:
-    """Winding of det(clutching) around the circle (k = 2 classes only),
-    summed phase increments over a uniform grid, doubling on ambiguity."""
+WINDING_GRID = 4096         # points at which winding_number samples the circle
+
+
+def winding_number(sc: SymbolClass) -> int:
+    """Winding of det(clutching) around the circle (k = 2 classes only).
+
+    The principal phase steps over WINDING_GRID points sum to 2*pi times an
+    integer at any spacing, so the sum cannot flag undersampling: it is the
+    winding when the grid resolves the phase, which is the caller's promise.
+    """
     if sc.k != 2:
         raise ValueError("winding is defined for classes on the 1-sphere (k = 2)")
     if sc.rank_plus == 0:
         return 0
-    points = grid
-    for _ in range(max_doublings + 1):
-        theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
-        dets = np.array([np.linalg.det(sc.clutching((math.cos(t), math.sin(t))))
-                         for t in theta])
-        if np.min(np.abs(dets)) < 1e-12:
-            raise AmbiguousWindingError("clutching degenerate at a grid point")
-        ratios = dets / np.roll(dets, 1)
-        total = float(np.sum(np.angle(ratios))) / (2.0 * math.pi)
-        nearest = round(total)
-        if abs(total - nearest) < tol:
-            return int(nearest)
-        points *= 2
-    raise AmbiguousWindingError("winding did not stabilize under grid doubling")
+    theta = np.linspace(0.0, 2.0 * math.pi, WINDING_GRID, endpoint=False)
+    dets = np.array([np.linalg.det(sc.clutching((math.cos(t), math.sin(t))))
+                     for t in theta])
+    if np.min(np.abs(dets)) < 1e-12:
+        raise AmbiguousWindingError("clutching degenerate at a grid point")
+    ratios = dets / np.roll(dets, 1)
+    return int(round(float(np.sum(np.angle(ratios))) / (2.0 * math.pi)))
 
 
 # ---------------------------------------------------------------------------

@@ -310,14 +310,13 @@ def gauge_transform(op: LatticeOperator, phases: np.ndarray) -> LatticeOperator:
 # spectral flow
 # ---------------------------------------------------------------------------
 
-FLOW_STEPS = 64          # intervals of the first grid
-FLOW_REFINEMENTS = 8     # step halvings before NonConvergenceError
 ENDPOINT_TOL = 1e-9      # relative size of an endpoint eigenvalue read as zero
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A path of hermitian matrices over [t_start, t_end]."""
+    """A path t -> builder(t) of hermitian matrices over [t_start, t_end].
+    Its continuity is the caller's promise; no grid of samples could check it."""
 
     t_start: float
     t_end: float
@@ -329,43 +328,25 @@ class FamilySpec:
 
 
 def spectral_flow(fam: FamilySpec) -> int:
-    """Signed count of eigenvalues crossing zero along the path, tracked on
-    a refining grid until two successive refinements agree.
-
-    Endpoint operators must be invertible; an eigenvalue within tolerance of
-    zero at an endpoint is an error.
+    """Signed count of eigenvalues crossing zero upward along the path:
+    n_-(t_start) - n_-(t_end) for a continuous hermitian path with invertible
+    ends (Atiyah-Patodi-Singer III, 1976; Phillips, Canad. Math. Bull. 39
+    (1996) 460), so one eigensolve per endpoint gives it.  An endpoint
+    eigenvalue within ENDPOINT_TOL (relative) of zero raises
+    NonConvergenceError.
     """
+    negatives = []
     for t in (fam.t_start, fam.t_end):
-        evals = _herm_eigs(fam.builder(t))
+        m = np.asarray(fam.builder(t), dtype=complex)
+        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
+            raise ValueError("family operators must be self-adjoint")
+        evals = np.linalg.eigvalsh(m)
         scale = max(float(np.max(np.abs(evals))), 1.0)
         if np.min(np.abs(evals)) < ENDPOINT_TOL * scale:
             raise NonConvergenceError(
                 f"endpoint t = {t} has an eigenvalue within tolerance of zero")
-    steps = FLOW_STEPS
-    previous = None
-    for _ in range(FLOW_REFINEMENTS + 1):
-        flow = _flow_on_grid(fam, steps)
-        if previous is not None and flow == previous:
-            return flow
-        previous = flow
-        steps *= 2
-    raise NonConvergenceError("spectral flow did not stabilize under refinement")
-
-
-def _herm_eigs(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("family operators must be self-adjoint")
-    return np.linalg.eigvalsh(m)
-
-
-def _flow_on_grid(fam: FamilySpec, steps: int) -> int:
-    ts = np.linspace(fam.t_start, fam.t_end, steps + 1)
-    neg_counts = []
-    for t in ts:
-        evals = _herm_eigs(fam.builder(t))
-        neg_counts.append(int(np.sum(evals < 0.0)))
-    return sum(neg_counts[i] - neg_counts[i + 1] for i in range(steps))
+        negatives.append(int(np.sum(evals < 0.0)))
+    return negatives[0] - negatives[1]
 
 
 def shift_family(t_start: float, t_end: float, modes: int = 32) -> FamilySpec:

@@ -48,13 +48,18 @@ def test_abs_group(capsys):
 
 
 def test_abs_winding(capsys):
-    code, out, _ = run(capsys, "abs-winding", "--k", "2", "--module", "s2")
-    assert code == 0
-    data = json.loads(out)
-    assert data["k"] == 2 and abs(data["winding"]) == 1
-    assert data["samples"] == 4096
-    code, out, _ = run(capsys, "abs-winding", "--k", "2", "--module", "s2+s2")
-    assert abs(json.loads(out)["winding"]) == 2
+    windings = {}
+    for module in ("s2", "s2-flip", "s2+s2", "thom1"):
+        code, out, _ = run(capsys, "abs-winding", "--k", "2", "--module", module)
+        assert code == 0
+        data = json.loads(out)
+        assert data["k"] == 2 and data["samples"] == 4096
+        windings[module] = data["winding"]
+    w = windings["s2"]
+    assert abs(w) == 1
+    assert windings["s2-flip"] == -w
+    assert windings["s2+s2"] == 2 * w
+    assert abs(windings["thom1"]) == 1
 
 
 def test_abs_winding_bad_k(capsys):

@@ -1,7 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spindex import torus_index as ti
 from spindex.torus_index import (AmbiguousKernelError, FluxBundleSpec,
@@ -171,6 +174,30 @@ def test_shift_family_flows():
     assert spectral_flow(shift_family(eps, 1 + eps)) == 1
     assert spectral_flow(shift_family(eps, 2 + eps)) == 2
     assert spectral_flow(shift_family(1 + eps, eps)) == -1
+
+
+def test_spectral_flow_builds_each_endpoint_once():
+    fam = shift_family(1e-3, 3 + 1e-3)
+    calls = []
+
+    def builder(t):
+        calls.append(t)
+        return fam.builder(t)
+
+    assert spectral_flow(ti.FamilySpec(fam.t_start, fam.t_end, builder)) == 3
+    assert calls == [fam.t_start, fam.t_end]
+
+
+_off_integer = st.floats(-30, 30, exclude_min=True, exclude_max=True).filter(
+    lambda t: abs(t - round(t)) >= 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_off_integer, _off_integer)
+def test_shift_flow_counts_integers_crossed(t0, t1):
+    # eigenvalues n + t, |n| <= 32: one crosses zero upward at each integer t
+    assume(t0 != t1)
+    assert spectral_flow(shift_family(t0, t1)) == math.floor(t1) - math.floor(t0)
 
 
 def test_constant_family_flows_zero():
