@@ -262,12 +262,16 @@ class SpinElement:
 
         Floating-point elements round-trip through the fraction-string schema
         as exact dyadic rationals whose norm is off by an ulp; when the exact
-        reading fails certification, retry in float arithmetic.
+        reading fails certification and N(x) is within FLOAT_TOL of 1, retry
+        in float arithmetic.  Any other failure is the exact one.
         """
         value = Multivector.from_json(data)
         try:
             return cls(value)
         except ValueError:
+            norm = value.grade_involution().reversal() * value
+            if not norm.isclose(Multivector.scalar(value.form, 1), FLOAT_TOL):
+                raise
             as_float = Multivector(value.form, {
                 m: v.to_complex() if isinstance(v, GaussianRational) else v
                 for m, v in value.terms().items()})

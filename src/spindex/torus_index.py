@@ -14,7 +14,8 @@ dim ker - dim coker with gap certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -87,8 +88,8 @@ class LatticeOperator:
     ``matrix`` is the graded-odd hermitian central-difference Dirac matrix
     (site-wise grading +1/-1 on the two spinor components, off-diagonal
     blocks mutually adjoint).  The Wilson kernel used by the index pipeline
-    is kept alongside; the overlap operator and its rectangular chiral
-    blocks are computed on demand and cached.
+    is kept alongside; the overlap data (one H_W eigendecomposition) and
+    the rectangular chiral blocks are computed on demand and cached.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -121,7 +122,7 @@ class LatticeOperator:
 
     def overlap(self) -> "_Overlap":
         if self._overlap is None:
-            self._overlap = _Overlap(self.wilson_kernel.toarray(), self.grading)
+            self._overlap = _Overlap(self.wilson_kernel, self.grading)
         return self._overlap
 
     def chiral_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,6 +164,7 @@ class KernelResult:
     gap: float            # smallest singular value kept as nonzero
     largest_zero: float   # largest singular value accepted as zero
     threshold: float
+    singular_values: np.ndarray = field(repr=False, compare=False)  # descending
 
 
 def kernel_dimension(op) -> KernelResult:
@@ -179,9 +181,8 @@ def kernel_dimension(op) -> KernelResult:
     svals = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.array([])
     implicit = a.shape[1] - len(svals)
     if not len(svals):
-        return KernelResult(implicit, np.inf, 0.0, 0.0)
-    scale = float(svals[0])
-    threshold = ZERO_THRESHOLD * max(scale, 1e-300)
+        return KernelResult(implicit, np.inf, 0.0, 0.0, svals)
+    threshold = ZERO_THRESHOLD * max(float(svals[0]), 1e-300)
     below = svals[svals < threshold]
     kept = svals[svals >= threshold]
     dimension = implicit + len(below)
@@ -193,7 +194,7 @@ def kernel_dimension(op) -> KernelResult:
             raise AmbiguousKernelError(
                 f"zero modes not separated: gap ratio {ratio:.2e} < "
                 f"{MIN_GAP_RATIO:.0e}; refine the lattice")
-    return KernelResult(dimension, gap, largest_zero, threshold)
+    return KernelResult(dimension, gap, largest_zero, threshold, svals)
 
 
 # ---------------------------------------------------------------------------
@@ -201,43 +202,47 @@ def kernel_dimension(op) -> KernelResult:
 # ---------------------------------------------------------------------------
 
 class _Overlap:
-    """Overlap operator data computed from a Wilson kernel and a grading."""
+    """Overlap data from one eigendecomposition of H_W = gamma K (Neuberger
+    1998), Q-/Q+ being its eigenvectors of negative/positive eigenvalue.
+    D = 1 + gamma sign(H_W) sends Q- to twice its minus rows and Q+ to twice
+    its plus rows, so no sign matrix is formed: D+ = 2 Q-[minus rows] (on the
+    +1 space of the modified grading -sign(H_W)); D- = (D+)^* has the same
+    singular values; and D^*D = D + D^* (Luscher 1998) is block diagonal in
+    gamma, 4 Q+[plus rows] Q+[plus rows]^* on the plus rows and D+ D+^* on
+    the minus rows."""
 
-    def __init__(self, kernel: np.ndarray, grading: np.ndarray):
-        h = grading[:, None] * kernel
-        if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
+    def __init__(self, kernel: sp.spmatrix, grading: np.ndarray):
+        h = sp.diags(grading) @ kernel
+        if abs(h - h.conj().T).max() > 1e-12 * max(1.0, abs(h).max()):
             raise ValueError("hermitized Wilson kernel is not hermitian")
-        evals, evecs = np.linalg.eigh(h)
-        hscale = float(np.max(np.abs(evals)))
+        evals, evecs = np.linalg.eigh(h.toarray())
         hgap = float(np.min(np.abs(evals)))
-        if hgap < 1e-10 * max(hscale, 1e-300):
+        if hgap < 1e-10 * max(float(np.max(np.abs(evals))), 1e-300):
             raise AmbiguousKernelError(
                 "Wilson kernel has a near-zero mode; the sign function is "
                 "ill-defined (shift the mass or refine the lattice)")
-        sign = (evecs * np.sign(evals)) @ evecs.conj().T
-        self.operator = np.eye(kernel.shape[0]) + grading[:, None] * sign
-        self.hgap = hgap
-        self.sign_trace = float(np.trace(sign).real)
-        # modified grading -sign(H): its +1 eigenspace is the H-negative space
-        self.domain_basis = evecs[:, evals < 0]
-        minus = grading < 0
-        self.dplus = self.operator[minus, :] @ self.domain_basis
-        self.grading = grading
+        # the diagonal of sign(H_W) = Q sign(l) Q^*, summed
+        self.sign_trace = float((np.abs(evecs) ** 2 @ np.sign(evals)).sum())
+        minus, negative = grading < 0, evals < 0
+        self.dplus = 2.0 * evecs[np.ix_(minus, negative)]
+        self._plus_block = evecs[np.ix_(~minus, ~negative)]
+
+    @cached_property
+    def kernels(self) -> Tuple[KernelResult, KernelResult]:
+        """(ker D+, ker D-) from one SVD: D- = (D+)^* adds rows - cols zeros."""
+        ker_plus = kernel_dimension(self.dplus)
+        rows, cols = self.dplus.shape
+        return ker_plus, replace(ker_plus, dimension=ker_plus.dimension + rows - cols)
 
     def zero_mode_chiralities(self) -> Tuple[int, int]:
-        """Chirality split of ker(overlap); exact because the kernel is
-        invariant under the grading."""
-        w, q = np.linalg.eigh(self.operator.conj().T @ self.operator)
-        thr = ZERO_THRESHOLD * max(float(w[-1]), 1e-300)
-        null = q[:, w < thr]
-        if null.shape[1] == 0:
-            return 0, 0
-        chi = np.linalg.eigvalsh(null.conj().T @ (self.grading[:, None] * null))
-        n_plus = int(np.sum(chi > 0.5))
-        n_minus = int(np.sum(chi < -0.5))
-        if n_plus + n_minus != null.shape[1]:
-            raise AmbiguousKernelError("kernel modes are not chirality-split")
-        return n_plus, n_minus
+        """(plus, minus) counts of D^*D eigenvalues below ZERO_THRESHOLD times
+        the largest: 4 s^2 for the singular values s of Q+[plus rows], sigma^2
+        for those of D+, each padded with zeros to its block size."""
+        plus = 4.0 * np.linalg.svd(self._plus_block, compute_uv=False) ** 2
+        minus = self.kernels[0].singular_values ** 2
+        thr = ZERO_THRESHOLD * max(plus.max(initial=0.0), minus.max(initial=0.0), 1e-300)
+        return (self._plus_block.shape[0] - int(np.sum(plus >= thr)),
+                self.dplus.shape[0] - int(np.sum(minus >= thr)))
 
 
 @dataclass(frozen=True)
@@ -260,25 +265,21 @@ class IndexResult:
                 "index": self.index, "gap": self.spectral_gap}
 
 
-def _kernel_counts(dplus: np.ndarray) -> Tuple[KernelResult, KernelResult]:
-    """Kernel dimensions of the chiral blocks D+ and D- = (D+)^*."""
-    return kernel_dimension(dplus), kernel_dimension(dplus.conj().T)
-
-
 def index(op: LatticeOperator) -> IndexResult:
-    """Fredholm index of the chiral blocks.  Kernel counts, zero-mode
-    chiralities and spectral asymmetry must agree; that guards against
-    numerical failure only, since the first equals the blocks' shape
-    difference and the second equals -1/2 Tr sign(H_W) (Luscher 1998)."""
+    """dim ker D+ - dim ker D- from one eigendecomposition of H_W (_Overlap):
+    D+ = 2 Q-[minus rows], D- = (D+)^* has its singular values, and D^*D is
+    block diagonal in gamma.  Kernel counts, zero-mode chiralities and
+    spectral asymmetry must agree, which guards against numerical failure
+    only: the first equals the blocks' shape difference and the second
+    -1/2 Tr sign(H_W) (Luscher 1998)."""
     ov = op.overlap()
-    ker_plus, ker_minus = _kernel_counts(ov.dplus)
+    ker_plus, ker_minus = ov.kernels
     idx = ker_plus.dimension - ker_minus.dimension
     asym = -0.5 * ov.sign_trace
     if abs(asym - round(asym)) > 1e-6 or int(round(asym)) != idx:
         raise NonConvergenceError(
             f"kernel count {idx} disagrees with spectral asymmetry {asym}")
-    n_plus, n_minus = ov.zero_mode_chiralities()
-    if (n_plus, n_minus) != (ker_plus.dimension, ker_minus.dimension):
+    if ov.zero_mode_chiralities() != (ker_plus.dimension, ker_minus.dimension):
         raise NonConvergenceError(
             "chirality split of overlap zero modes disagrees with the "
             "chiral-block kernels")
@@ -289,9 +290,8 @@ def index(op: LatticeOperator) -> IndexResult:
 
 def disjoint_union_index(a: LatticeOperator, b: LatticeOperator) -> int:
     """Index over the block direct sum of two lattice operators."""
-    kernel = sp.block_diag((a.wilson_kernel, b.wilson_kernel)).toarray()
-    grading = np.concatenate([a.grading, b.grading])
-    ker_plus, ker_minus = _kernel_counts(_Overlap(kernel, grading).dplus)
+    ker_plus, ker_minus = _Overlap(sp.block_diag((a.wilson_kernel, b.wilson_kernel)),
+                                   np.concatenate([a.grading, b.grading])).kernels
     return ker_plus.dimension - ker_minus.dimension
 
 

@@ -1,6 +1,11 @@
 import json
 
+import numpy as np
+import pytest
+
 from spindex import cli
+from spindex.clifford import QuadraticForm
+from spindex.spin_groups import FLOAT_TOL, covering_map, lift_rotation
 
 
 def run(capsys, *argv):
@@ -144,6 +149,26 @@ def test_spin_cover_rejects_non_spin(capsys):
                           "terms": [{"blade": [1], "re": "1", "im": "0"}]})
     code, _, err = run(capsys, "spin-cover", "--element", element)
     assert code == 2 and "odd" in err
+
+
+@pytest.mark.parametrize("terms,norm", [
+    ([{"blade": [], "re": "2", "im": "0"}], 4),
+    ([{"blade": [], "re": "1", "im": "0"}, {"blade": [1, 2], "re": "1", "im": "0"}], 2),
+])
+def test_spin_cover_reports_the_exact_norm(capsys, terms, norm):
+    element = json.dumps({"dim": 3, "signs": [1, 1, 1], "terms": terms})
+    code, _, err = run(capsys, "spin-cover", "--element", element)
+    assert code == 2 and f"norm is {norm}, not 1" in err
+
+
+def test_spin_cover_certifies_serialized_float_product(capsys):
+    f4 = QuadraticForm.euclidean(4)
+    u = (lift_rotation(1, 2, 0.3, f4) * lift_rotation(2, 3, 1.1, f4)
+         * lift_rotation(3, 4, -0.7, f4))
+    code, out, _ = run(capsys, "spin-cover", "--element", json.dumps(u.to_json()))
+    assert code == 0
+    rows = np.array([[float(x) for x in r] for r in json.loads(out)["rows"]])
+    assert np.max(np.abs(rows - covering_map(u).to_numpy())) <= FLOAT_TOL
 
 
 def test_out_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,46 @@ def test_index_kernel_sides():
     assert (plus.dim_ker_plus, plus.dim_ker_minus) == (2, 0)
     minus = index(build_torus_dirac(FluxBundleSpec(10, -2)))
     assert (minus.dim_ker_plus, minus.dim_ker_minus) == (0, 2)
+
+
+@pytest.mark.parametrize("n,d,r,mass", [
+    (8, 13, 1.0, 1.95), (8, -13, 1.0, 1.95), (10, 23, 1.0, 1.95), (10, -23, 1.0, 1.95),
+    (10, 3, 0.5, 1.7), (10, -3, 0.5, 1.7), (10, 3, 0.5, 1.95), (10, -3, 0.5, 1.95)])
+def test_chirality_reading_flags_near_zero_modes(n, d, r, mass):
+    # near-zero overlap modes: nonzero for the kernel threshold on singular
+    # values, zero for the D^*D threshold on eigenvalues; without the
+    # chirality cross-check these inputs return a wrong index
+    with pytest.raises(NonConvergenceError, match="chirality"):
+        index(build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass)))
+
+
+@pytest.mark.parametrize("n", [5, 8, 10])
+@pytest.mark.parametrize("d", [-2, 0, 3])
+@pytest.mark.parametrize("r,mass", [(1.0, 1.0), (0.5, 1.7)])
+def test_overlap_readings_match_dense_oracle(n, d, r, mass):
+    """The eigenvector readings against the dense overlap D = 1 + gamma
+    sign(H_W) and an eigendecomposition of D^*D."""
+    op = build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass))
+    g = op.grading
+    # H_W assembled as the pipeline assembles it, signed zeros included, so
+    # that both eigendecompositions pick the same eigenvector phases
+    evals, evecs = np.linalg.eigh((sp.diags(g) @ op.wilson_kernel).toarray())
+    sign = (evecs * np.sign(evals)) @ evecs.conj().T
+    operator = np.eye(len(g)) + g[:, None] * sign
+    dplus = op.chiral_blocks()[0]
+    assert np.max(np.abs(dplus - operator[g < 0] @ evecs[:, evals < 0])) <= 1e-12
+
+    w, q = np.linalg.eigh(operator.conj().T @ operator)
+    null = q[:, w < ti.ZERO_THRESHOLD * w[-1]]
+    chi = np.linalg.eigvalsh(null.conj().T @ (g[:, None] * null))
+    ov = op.overlap()
+    assert ov.zero_mode_chiralities() == (int(np.sum(chi > 0.5)), int(np.sum(chi < -0.5)))
+
+    # a second SVD, of D+^*, differs from the first by its backward error,
+    # which is relative to the largest singular value, not to the gap
+    ker_minus, direct = ov.kernels[1], kernel_dimension(dplus.conj().T)
+    assert ker_minus.dimension == direct.dimension
+    assert abs(ker_minus.gap - direct.gap) <= 1e-12 * direct.singular_values[0]
 
 
 def test_index_additive_over_disjoint_union():
