@@ -304,8 +304,7 @@ class Multivector:
         for m in masks:
             a = self._terms.get(m, GaussianRational(0))
             b = other._terms.get(m, GaussianRational(0))
-            av = a.to_complex() if isinstance(a, GaussianRational) else complex(a)
-            bv = b.to_complex() if isinstance(b, GaussianRational) else complex(b)
+            av, bv = _to_complex(a), _to_complex(b)
             if abs(av - bv) > tol:
                 return False
         return True
@@ -342,7 +341,9 @@ class Multivector:
         """Multiplicative inverse.
 
         Tries the Clifford-group shortcut rev(alpha(x)) / N(x) first and falls
-        back to solving the left-multiplication linear system exactly.
+        back to solving the left-multiplication linear system exactly.  For
+        float coefficients the shortcut also takes an N(x) whose non-scalar
+        part is rounding residue, within 1e-12 of its scalar part.
         """
         candidate = self.reversal().grade_involution()
         norm = candidate * self
@@ -350,6 +351,11 @@ class Multivector:
         # scalar nonzero norm already certifies the shortcut
         if norm.is_scalar() and not norm.is_zero():
             return candidate * _coeff_reciprocal(norm.scalar_part())
+        if any(type(v) is not GaussianRational for v in norm._terms.values()):
+            scalar = _to_complex(norm.scalar_part())
+            residue = max(abs(_to_complex(v)) for m, v in norm._terms.items() if m)
+            if residue <= 1e-12 * abs(scalar):
+                return candidate * (1.0 / scalar)
         return self._inverse_by_solving()
 
     def _inverse_by_solving(self) -> "Multivector":
@@ -417,6 +423,10 @@ class Multivector:
             v = self._terms[m]
             parts.append(f"({v})*{blade_name(m)}" if m else f"({v})")
         return " + ".join(parts)
+
+
+def _to_complex(c) -> complex:
+    return c.to_complex() if isinstance(c, GaussianRational) else complex(c)
 
 
 def _coeff_reciprocal(c):

@@ -88,8 +88,9 @@ class LatticeOperator:
     ``matrix`` is the graded-odd hermitian central-difference Dirac matrix
     (site-wise grading +1/-1 on the two spinor components, off-diagonal
     blocks mutually adjoint).  The Wilson kernel used by the index pipeline
-    is kept alongside; the overlap data (one H_W eigendecomposition) and
-    the rectangular chiral blocks are computed on demand and cached.
+    is kept alongside; the real basis of H_W (``real_basis``), the overlap
+    data (one real H_W eigendecomposition) and the rectangular chiral
+    blocks are computed on demand and cached.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -120,14 +121,21 @@ class LatticeOperator:
         return (ux * np.roll(uy, -1, axis=0)
                 * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
 
+    @cached_property
+    def real_basis(self) -> sp.csr_matrix:
+        """The T-invariant orthonormal basis W of ``_real_basis``."""
+        return _real_basis(self.ux, self.uy)
+
     def overlap(self) -> "_Overlap":
         if self._overlap is None:
-            self._overlap = _Overlap(self.wilson_kernel, self.grading)
+            self._overlap = _Overlap(self.wilson_kernel, self.grading, self.real_basis)
         return self._overlap
 
     def chiral_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Rectangular mutually adjoint blocks (D+, D-) with D- = (D+)^*."""
-        dplus = self.overlap().dplus
+        """Rectangular mutually adjoint blocks (D+, D-) with D- = (D+)^*,
+        in the site basis: W[minus, minus] times the real-basis D+."""
+        v = self.spec.sites
+        dplus = self.real_basis[:v, :v] @ self.overlap().dplus
         return dplus, dplus.conj().T
 
     def export_triplets(self, stream) -> None:
@@ -150,6 +158,49 @@ def _shift_operators(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, sp.
     return shift(ux, 0), shift(uy, 1)
 
 
+def _real_basis(ux: np.ndarray, uy: np.ndarray) -> sp.csr_matrix:
+    """Orthonormal basis W fixed by the antiunitary T = D (sigma3 x R_x) K.
+
+    K (complex conjugation) sends the flux d to -d and the reflection
+    R_x: (x, y) -> (-x, y) sends it back.  Both together keep every
+    holonomy: an x-loop is conjugated and reversed, and the y-loop of the
+    column x is sent to the conjugate of the column -x, whose holonomy is
+    conj h(x) because h(0) = 1 and the flux is uniform.  So the conjugated,
+    reflected links are a gauge copy of the links, with the site phase
+    D(x+1, y) = D(x, y) ux(-x-1, y) / ux(x, y) and
+    D(x, y+1) = D(x, y) / (uy(x, y) uy(-x, y)).  R_x reverses the
+    x-difference and K the imaginary gamma^1; sigma3 (+1 on the minus
+    block), which anticommutes with both gammas, undoes the two signs.  So
+    T commutes with H_W, T^2 = +1, and H_W is real symmetric in a
+    T-invariant basis (Dyson, J. Math. Phys. 3 (1962) 1199).
+
+    U = D (sigma3 x R_x) has one unimodular entry u per column: a site fixed
+    by R_x gives sqrt(u) e_j, and a pair j < k = R_x j gives
+    (e_j + u e_k)/sqrt(2) in column j and i (e_j - u e_k)/sqrt(2) in column
+    k.  W is unitary and block diagonal in chirality.  Links without the
+    symmetry give a W^* H_W W that is not real, which _Overlap refuses.
+    """
+    n = ux.shape[0]
+    xs = np.arange(n)
+    mirror = -xs % n
+    along_x = np.cumprod(ux[(-xs - 1) % n, 0] / ux[:, 0])
+    along_y = np.cumprod(np.conj(uy * uy[mirror]), axis=1)
+    phase = (np.concatenate([[1.0], along_x[:-1]])[:, None]
+             * np.concatenate([np.ones((n, 1)), along_y[:, :-1]], axis=1)).ravel()
+    v = n * n
+    reflected = (mirror[:, None] * n + xs[None, :]).ravel()
+    perm = np.concatenate([reflected, reflected + v])
+    u = np.concatenate([phase, -phase])[perm]       # U[perm[j], j]
+    idx = np.arange(2 * v)
+    fixed, lo, hi = perm == idx, idx < perm, idx > perm
+    half = np.sqrt(0.5)
+    rows = np.concatenate([idx[fixed], idx[lo], perm[lo], perm[hi], idx[hi]])
+    cols = np.concatenate([idx[fixed], idx[lo], idx[lo], idx[hi], idx[hi]])
+    data = np.concatenate([np.sqrt(u[fixed]), np.full(lo.sum(), half), half * u[lo],
+                           np.full(hi.sum(), 1j * half), -1j * half * u[perm[hi]]])
+    return sp.csr_matrix((data, (rows, cols)), shape=(2 * v, 2 * v))
+
+
 def build_torus_dirac(spec: FluxBundleSpec) -> LatticeOperator:
     return LatticeOperator(spec)
 
@@ -170,12 +221,14 @@ class KernelResult:
 def kernel_dimension(op) -> KernelResult:
     """Numerical kernel dimension of a (possibly rectangular) matrix.
 
+    Real input is decomposed in real arithmetic (integers as floats).
     Counts singular values below sqrt(machine eps) times the largest one;
     a matrix with more columns than rows contributes the shape deficit as
     exact zeros.  Raises :class:`AmbiguousKernelError` unless the accepted
     zeros lie at least ``MIN_GAP_RATIO`` below the rest.
     """
-    a = np.asarray(op.toarray() if sp.issparse(op) else op, dtype=complex)
+    a = np.asarray(op.toarray() if sp.issparse(op) else op)
+    a = a.astype(np.result_type(a, float), copy=False)     # real stays real
     if a.ndim != 2:
         raise ValueError("kernel_dimension expects a matrix")
     svals = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.array([])
@@ -209,20 +262,30 @@ class _Overlap:
     +1 space of the modified grading -sign(H_W)); D- = (D+)^* has the same
     singular values; and D^*D = D + D^* (Luscher 1998) is block diagonal in
     gamma, 4 Q+[plus rows] Q+[plus rows]^* on the plus rows and D+ D+^* on
-    the minus rows."""
+    the minus rows.
 
-    def __init__(self, kernel: sp.spmatrix, grading: np.ndarray):
+    The eigensolve is real: ``basis`` is the T-invariant unitary W of
+    ``_real_basis`` (block diagonal in gamma), W^* H_W W is real symmetric,
+    and its real eigenvectors Q_r give Q = W Q_r.  So ``dplus`` is
+    2 Q_r[minus rows], D+ in the site basis is W[minus, minus] ``dplus``,
+    and both blocks keep their singular values in the real basis."""
+
+    def __init__(self, kernel: sp.spmatrix, grading: np.ndarray, basis: sp.spmatrix):
         h = sp.diags(grading) @ kernel
         if abs(h - h.conj().T).max() > 1e-12 * max(1.0, abs(h).max()):
             raise ValueError("hermitized Wilson kernel is not hermitian")
-        evals, evecs = np.linalg.eigh(h.toarray())
+        h = basis.conj().T @ h @ basis
+        if abs(h.imag).max() > 1e-12 * max(1.0, abs(h).max()):
+            raise ValueError("links lack the antiunitary symmetry: H_W is not "
+                             "real in the T-invariant basis")
+        evals, evecs = np.linalg.eigh(h.real.toarray())
         hgap = float(np.min(np.abs(evals)))
         if hgap < 1e-10 * max(float(np.max(np.abs(evals))), 1e-300):
             raise AmbiguousKernelError(
                 "Wilson kernel has a near-zero mode; the sign function is "
                 "ill-defined (shift the mass or refine the lattice)")
-        # the diagonal of sign(H_W) = Q sign(l) Q^*, summed
-        self.sign_trace = float((np.abs(evecs) ** 2 @ np.sign(evals)).sum())
+        # the diagonal of sign(H_W) = Q sign(l) Q^*, summed (W keeps the trace)
+        self.sign_trace = float((evecs ** 2 @ np.sign(evals)).sum())
         minus, negative = grading < 0, evals < 0
         self.dplus = 2.0 * evecs[np.ix_(minus, negative)]
         self._plus_block = evecs[np.ix_(~minus, ~negative)]
@@ -268,7 +331,11 @@ class IndexResult:
 def index(op: LatticeOperator) -> IndexResult:
     """dim ker D+ - dim ker D- from one eigendecomposition of H_W (_Overlap):
     D+ = 2 Q-[minus rows], D- = (D+)^* has its singular values, and D^*D is
-    block diagonal in gamma.  Kernel counts, zero-mode chiralities and
+    block diagonal in gamma.  The eigensolve is real symmetric: H_W commutes
+    with the antiunitary T = D (sigma3 x R_x) K, T^2 = +1, because charge
+    conjugation and the reflection x -> -x together keep the flux and the
+    holonomies (_real_basis), so H_W is real in the T-invariant basis W and
+    the blocks are read there.  Kernel counts, zero-mode chiralities and
     spectral asymmetry must agree, which guards against numerical failure
     only: the first equals the blocks' shape difference and the second
     -1/2 Tr sign(H_W) (Luscher 1998)."""
@@ -291,7 +358,8 @@ def index(op: LatticeOperator) -> IndexResult:
 def disjoint_union_index(a: LatticeOperator, b: LatticeOperator) -> int:
     """Index over the block direct sum of two lattice operators."""
     ker_plus, ker_minus = _Overlap(sp.block_diag((a.wilson_kernel, b.wilson_kernel)),
-                                   np.concatenate([a.grading, b.grading])).kernels
+                                   np.concatenate([a.grading, b.grading]),
+                                   sp.block_diag((a.real_basis, b.real_basis))).kernels
     return ker_plus.dimension - ker_minus.dimension
 
 

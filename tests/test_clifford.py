@@ -10,6 +10,7 @@ from spindex.clifford import (AlgebraType, FormMismatchError, GaussianRational,
                               Multivector, QuadraticForm, blade_from_indices,
                               blade_grade, blade_indices, blade_product,
                               classify_complex, classify_real, embed_lower)
+from spindex.spin_groups import lift_rotation
 
 E3 = QuadraticForm.euclidean(3)
 
@@ -281,6 +282,22 @@ def test_inverse_round_trip():
               mv(E3, s=1, e1=Fraction(1, 2))]:
         assert x.inverse() * x == one
         assert x * x.inverse() == one
+
+
+def test_float_inverse_takes_the_shortcut_past_rounding_residue(monkeypatch):
+    f4 = QuadraticForm.euclidean(4)
+    x = (lift_rotation(1, 2, 0.3, f4) * lift_rotation(2, 3, 1.1, f4)
+         * lift_rotation(3, 4, -0.7, f4)).value
+    norm = x.reversal().grade_involution() * x
+    assert not norm.is_scalar()          # ~1e-17 residue off the scalar blade
+
+    def refuse(self):
+        raise AssertionError("dense solve taken")
+
+    monkeypatch.setattr(Multivector, "_inverse_by_solving", refuse)
+    inv = x.inverse()
+    one = Multivector.scalar(f4, 1.0)
+    assert (x * inv).isclose(one) and (inv * x).isclose(one)
 
 
 def test_non_invertible_raises():

@@ -71,6 +71,16 @@ def test_kernel_dimension_rectangular_counts_shape_deficit():
     assert kernel_dimension(a.T).dimension == 0
 
 
+def test_kernel_dimension_real_input_matches_complex_copy():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(30, 20)) @ rng.normal(size=(20, 33))    # rank 20
+    real, cplx = kernel_dimension(a), kernel_dimension(a.astype(complex))
+    assert real.dimension == cplx.dimension == 13
+    scale = cplx.singular_values[0]
+    assert np.max(np.abs(real.singular_values - cplx.singular_values)) <= 1e-14 * scale
+    assert kernel_dimension(np.array([[2, 0, 0], [0, 0, 0]])).dimension == 2
+
+
 def test_kernel_dimension_ambiguity():
     with pytest.raises(AmbiguousKernelError):
         kernel_dimension(np.diag([1.0, 4e-8, 1e-9]))
@@ -127,7 +137,10 @@ def test_overlap_readings_match_dense_oracle(n, d, r, mass):
     sign = (evecs * np.sign(evals)) @ evecs.conj().T
     operator = np.eye(len(g)) + g[:, None] * sign
     dplus = op.chiral_blocks()[0]
-    assert np.max(np.abs(dplus - operator[g < 0] @ evecs[:, evals < 0])) <= 1e-12
+    # eigenvector bases are not unique; D+ D+^* is
+    oracle = operator[g < 0] @ evecs[:, evals < 0]
+    assert dplus.shape == oracle.shape
+    assert np.max(np.abs(dplus @ dplus.conj().T - oracle @ oracle.conj().T)) <= 1e-12
 
     w, q = np.linalg.eigh(operator.conj().T @ operator)
     null = q[:, w < ti.ZERO_THRESHOLD * w[-1]]
@@ -140,6 +153,65 @@ def test_overlap_readings_match_dense_oracle(n, d, r, mass):
     ker_minus, direct = ov.kernels[1], kernel_dimension(dplus.conj().T)
     assert ker_minus.dimension == direct.dimension
     assert abs(ker_minus.gap - direct.gap) <= 1e-12 * direct.singular_values[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_real_basis_property(data):
+    """W is unitary, W^* H_W W is real, and the real-basis D+ has the
+    singular values of 2 Q-[minus rows] from a complex eigh of H_W, for
+    fresh operators, gauge copies and disjoint unions."""
+    ops = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        n = data.draw(st.integers(4, 10))
+        d = data.draw(st.integers(-(n * n // 4), n * n // 4))
+        r = data.draw(st.floats(0.3, 1.5))
+        m0 = data.draw(st.floats(0.05, 1.95))
+        op = build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=m0))
+        if data.draw(st.booleans()):
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+            op = gauge_transform(op, np.random.default_rng(seed).uniform(0, 2 * np.pi, (n, n)))
+        ops.append(op)
+    kernel = sp.block_diag([op.wilson_kernel for op in ops])
+    g = np.concatenate([op.grading for op in ops])
+    basis = sp.block_diag([op.real_basis for op in ops]).toarray()
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(g)))) <= 1e-12
+    h = (sp.diags(g) @ kernel).toarray()
+    assert np.max(np.abs((basis.conj().T @ h @ basis).imag)) <= 1e-12 * np.max(np.abs(h))
+
+    try:
+        ov = ti._Overlap(kernel, g, sp.csr_matrix(basis))
+    except AmbiguousKernelError:
+        assume(False)
+    minus = g < 0
+    dplus = basis[np.ix_(minus, minus)] @ ov.dplus
+    evals, evecs = np.linalg.eigh(h)
+    oracle = 2.0 * evecs[np.ix_(minus, evals < 0)]
+    assert dplus.shape == oracle.shape
+    s_site = np.linalg.svd(dplus, compute_uv=False)
+    s_real = np.linalg.svd(ov.dplus, compute_uv=False)
+    s_oracle = np.linalg.svd(oracle, compute_uv=False)
+    assert np.max(np.abs(s_site - s_oracle)) <= 1e-12 * 2
+    assert np.max(np.abs(s_real - s_oracle)) <= 1e-12 * 2
+
+
+def test_links_without_the_symmetry_are_refused():
+    spec = FluxBundleSpec(6, 1)
+    rng = np.random.default_rng(11)
+    ux, uy = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, 6, 6)))
+    op = ti.LatticeOperator.__new__(ti.LatticeOperator)
+    op._assemble(spec, ux, uy)
+    with pytest.raises(ValueError, match="symmetry"):
+        index(op)
+
+
+@pytest.mark.parametrize("d", [3, -3])
+def test_index_at_the_largest_lattice(d):
+    result = index(build_torus_dirac(FluxBundleSpec(24, d)))
+    assert result.index == d
+    assert (result.dim_ker_plus, result.dim_ker_minus) == ((3, 0) if d > 0 else (0, 3))
+    with pytest.raises(ValueError):
+        FluxBundleSpec(25, d)
 
 
 def test_index_additive_over_disjoint_union():
