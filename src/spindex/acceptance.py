@@ -23,10 +23,12 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+    budget: float = 0.0     # seconds allowed; 0 for a criterion without a budget
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        return f"{tag} {self.name}: {self.detail} [{self.seconds:.2f}s]"
+        used = f"{self.seconds:.2f}s / {self.budget:.0f}s" if self.budget else f"{self.seconds:.2f}s"
+        return f"{tag} {self.name}: {self.detail} [{used}]"
 
 
 def _run(name: str, budget: float, body: Callable[[], str]) -> CriterionResult:
@@ -37,11 +39,12 @@ def _run(name: str, budget: float, body: Callable[[], str]) -> CriterionResult:
         if budget and elapsed > budget:
             return CriterionResult(name, False,
                                    f"{detail}; exceeded {budget:.0f}s budget",
-                                   elapsed)
-        return CriterionResult(name, True, detail, elapsed)
+                                   elapsed, budget)
+        return CriterionResult(name, True, detail, elapsed, budget)
     except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
         elapsed = time.perf_counter() - start
-        return CriterionResult(name, False, f"{type(exc).__name__}: {exc}", elapsed)
+        return CriterionResult(name, False, f"{type(exc).__name__}: {exc}",
+                               elapsed, budget)
 
 
 def _random_multivector(rng, form: QuadraticForm, terms: int = 4) -> Multivector:

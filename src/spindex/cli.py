@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0, help="Wilson coupling")
     p.add_argument("--mass", type=float, default=1.0,
-                   help="Wilson mass in (0, 2)")
+                   help="Wilson mass in (0, 2), below 2r")
     common(p)
     p.set_defaults(func=_cmd_index_torus)
 

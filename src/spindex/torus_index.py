@@ -6,7 +6,7 @@ lattice.  The assembled site-basis operator is the graded-odd hermitian
 central-difference Dirac matrix; because any such ultralocal chirality-graded
 operator carries doublers, the index pipeline runs through the overlap
 operator built from the Wilson kernel (central differences plus Wilson term,
-mass in (0, 2)).  Its modified grading splits the space into pieces whose
+mass in (0, 2) and below 2r, where the first doubler modes cross zero).  Its modified grading splits the space into pieces whose
 dimensions differ by exactly the spectral asymmetry, so the chiral blocks are
 genuinely rectangular, mutually adjoint, and their kernel dimensions realize
 dim ker - dim coker with gap certificates.
@@ -60,6 +60,9 @@ class FluxBundleSpec:
             raise ValueError("Wilson mass must lie in the open interval (0, 2)")
         if self.wilson_r <= 0.0:
             raise ValueError("Wilson coupling must be positive")
+        if self.wilson_mass >= 2.0 * self.wilson_r:
+            raise ValueError("Wilson mass must lie below 2r, where the first "
+                             "doubler modes cross zero")
 
     @property
     def sites(self) -> int:
@@ -88,9 +91,9 @@ class LatticeOperator:
     ``matrix`` is the graded-odd hermitian central-difference Dirac matrix
     (site-wise grading +1/-1 on the two spinor components, off-diagonal
     blocks mutually adjoint).  The Wilson kernel used by the index pipeline
-    is kept alongside; the real basis of H_W (``real_basis``), the overlap
-    data (one real H_W eigendecomposition) and the rectangular chiral
-    blocks are computed on demand and cached.
+    is kept alongside; the sector basis of H_W (``sector_basis``), the
+    overlap data (one real eigendecomposition per sector of H_W) and the
+    rectangular chiral blocks are computed on demand and cached.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -122,20 +125,22 @@ class LatticeOperator:
                 * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
 
     @cached_property
-    def real_basis(self) -> sp.csr_matrix:
-        """The T-invariant orthonormal basis W of ``_real_basis``."""
-        return _real_basis(self.ux, self.uy)
+    def sector_basis(self) -> Tuple[sp.csr_matrix, np.ndarray]:
+        """The unitary basis W of ``_sector_basis`` and each column's sector."""
+        return _sector_basis(self.ux, self.uy)
 
     def overlap(self) -> "_Overlap":
         if self._overlap is None:
-            self._overlap = _Overlap(self.wilson_kernel, self.grading, self.real_basis)
+            self._overlap = _Overlap(self.wilson_kernel, self.grading, *self.sector_basis)
         return self._overlap
 
     def chiral_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
         """Rectangular mutually adjoint blocks (D+, D-) with D- = (D+)^*,
-        in the site basis: W[minus, minus] times the real-basis D+."""
-        v = self.spec.sites
-        dplus = self.real_basis[:v, :v] @ self.overlap().dplus
+        in the site basis: the minus rows of W's minus columns times the
+        block diagonal sector-basis D+."""
+        ov = self.overlap()
+        basis = self.sector_basis[0][:self.spec.sites]
+        dplus = (basis[:, ov.minus_columns] @ sp.block_diag(ov.dplus_blocks)).toarray()
         return dplus, dplus.conj().T
 
     def export_triplets(self, stream) -> None:
@@ -158,47 +163,126 @@ def _shift_operators(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, sp.
     return shift(ux, 0), shift(uy, 1)
 
 
-def _real_basis(ux: np.ndarray, uy: np.ndarray) -> sp.csr_matrix:
-    """Orthonormal basis W fixed by the antiunitary T = D (sigma3 x R_x) K.
+def _gauge_phase(ux: np.ndarray, uy: np.ndarray,
+                 ux_image: np.ndarray, uy_image: np.ndarray) -> np.ndarray:
+    """Site phase g with g(0, 0) = 1 and g(s + mu) = g(s) u'(s) / u(s),
+    accumulated along the row y = 0 and then up each column: when the image
+    links u' are a gauge copy of u, multiplication by g carries the hopping
+    terms of u' to those of u."""
+    n = ux.shape[0]
+    along_x = np.cumprod(ux_image[:, 0] / ux[:, 0])
+    along_y = np.cumprod(uy_image / uy, axis=1)
+    return (np.concatenate([[1.0], along_x[:-1]])[:, None]
+            * np.concatenate([np.ones((n, 1)), along_y[:, :-1]], axis=1)).ravel()
+
+
+def _monomial(dest: np.ndarray, g: np.ndarray, spin: Tuple[complex, complex]):
+    """(perm, phase) of the map e_j -> phase[j] e_perm[j] that sends a site
+    s to dest[s], multiplies the two spinor components by ``spin`` and then
+    every site by g."""
+    v = len(dest)
+    perm = np.concatenate([dest, dest + v])
+    return perm, np.concatenate([spin[0] * g, spin[1] * g])[perm]
+
+
+def _symmetries(ux: np.ndarray, uy: np.ndarray):
+    """The rotation S = G (diag(1, i) x rho) and the unitary part U of the
+    antiunitary T = U K = D (sigma3 x R_x) K, each as ``_monomial`` data.
+
+    rho(x, y) = (-y, x) turns x-links into y-links and y-links into reversed
+    x-links: uy'(rho s) = ux(s), ux'(rho s - x) = conj uy(s).  It keeps the
+    plaquette flux, and for the flux links, whose holonomies along the two
+    axes are equal, the rotated links are a gauge copy with site phase G.
+    diag(1, i) carries gamma^1 to gamma^2 and gamma^2 to -gamma^1, which
+    the rotation of the differences undoes, so S commutes with H_W, S^4 = 1
+    and S commutes with gamma (Wilson, PRD 10 (1974) 2445).
 
     K (complex conjugation) sends the flux d to -d and the reflection
     R_x: (x, y) -> (-x, y) sends it back.  Both together keep every
     holonomy: an x-loop is conjugated and reversed, and the y-loop of the
     column x is sent to the conjugate of the column -x, whose holonomy is
     conj h(x) because h(0) = 1 and the flux is uniform.  So the conjugated,
-    reflected links are a gauge copy of the links, with the site phase
-    D(x+1, y) = D(x, y) ux(-x-1, y) / ux(x, y) and
-    D(x, y+1) = D(x, y) / (uy(x, y) uy(-x, y)).  R_x reverses the
-    x-difference and K the imaginary gamma^1; sigma3 (+1 on the minus
-    block), which anticommutes with both gammas, undoes the two signs.  So
-    T commutes with H_W, T^2 = +1, and H_W is real symmetric in a
-    T-invariant basis (Dyson, J. Math. Phys. 3 (1962) 1199).
-
-    U = D (sigma3 x R_x) has one unimodular entry u per column: a site fixed
-    by R_x gives sqrt(u) e_j, and a pair j < k = R_x j gives
-    (e_j + u e_k)/sqrt(2) in column j and i (e_j - u e_k)/sqrt(2) in column
-    k.  W is unitary and block diagonal in chirality.  Links without the
-    symmetry give a W^* H_W W that is not real, which _Overlap refuses.
+    reflected links are a gauge copy of the links, with site phase D.  R_x
+    reverses the x-difference and K the imaginary gamma^1; sigma3 (+1 on
+    the minus block), which anticommutes with both gammas, undoes the two
+    signs.  So T commutes with H_W and T^2 = +1.  Since R_x rho R_x =
+    rho^-1 and K diag(1, i) K = diag(1, i)^-1, T S T^-1 = S^-1.
     """
     n = ux.shape[0]
     xs = np.arange(n)
     mirror = -xs % n
-    along_x = np.cumprod(ux[(-xs - 1) % n, 0] / ux[:, 0])
-    along_y = np.cumprod(np.conj(uy * uy[mirror]), axis=1)
-    phase = (np.concatenate([[1.0], along_x[:-1]])[:, None]
-             * np.concatenate([np.ones((n, 1)), along_y[:, :-1]], axis=1)).ravel()
-    v = n * n
+    rotated = (mirror[None, :] * n + xs[:, None]).ravel()
     reflected = (mirror[:, None] * n + xs[None, :]).ravel()
-    perm = np.concatenate([reflected, reflected + v])
-    u = np.concatenate([phase, -phase])[perm]       # U[perm[j], j]
-    idx = np.arange(2 * v)
-    fixed, lo, hi = perm == idx, idx < perm, idx > perm
+    g = _gauge_phase(ux, uy, np.conj(uy.T[(-xs - 1) % n]), ux.T[mirror])
+    d = _gauge_phase(ux, uy, ux[(-xs - 1) % n], np.conj(uy[mirror]))
+    return _monomial(rotated, g, (1, 1j)), _monomial(reflected, d, (1, -1))
+
+
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
+def _sector_basis(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """Unitary basis W that splits H_W into four real symmetric blocks, and
+    the sector k of each column: the eigenspace lambda = i^k of the rotation
+    S of ``_symmetries``, on which T acts (T S T^-1 = S^-1 keeps it).
+
+    An S-orbit of length L (1 on sites rho fixes, 2 or 4), with
+    representative j and S^L e_j = mu e_j, gives one unit vector
+    v = sum_{m < L} lambda^-m S^m e_j / sqrt(L) in each sector with
+    lambda^L = mu, which are L sectors because S^4 = 1.  T sends v to a
+    phase u times the vector v' of the same sector on the orbit of T e_j,
+    so the vectors are fixed or paired as sites under a reflection: a
+    T-fixed v gives sqrt(u) v, a pair v < v' gives (v + u v')/sqrt(2) and
+    i (v - u v')/sqrt(2).  H_W is real symmetric in a T-invariant basis
+    (Dyson, J. Math. Phys. 3 (1962) 1199) and block diagonal in sectors
+    because S commutes with it.  Every vector has one chirality; the
+    columns are ordered by sector, minus chirality first.  Links whose
+    orbits do not close (S^4 != 1) raise ValueError; links that keep S^4 = 1
+    but lack a symmetry give a W^* H_W W that is not real and block
+    diagonal, which _Overlap refuses.
+    """
+    (rot, rot_phase), (ref, ref_phase) = _symmetries(ux, uy)
+    size = len(rot)
+    idx = np.arange(size)
+    pos, coef = [idx], [np.ones(size, dtype=complex)]     # S^m e_j = coef[m] e_pos[m]
+    for _ in range(4):
+        coef.append(coef[-1] * rot_phase[pos[-1]])
+        pos.append(rot[pos[-1]])
+    pos, coef = np.array(pos), np.array(coef)
+    orbit_length = np.argmax(pos[1:] == idx, axis=0) + 1
+    orbit = pos.min(axis=0)
+    reps = np.flatnonzero(orbit == idx)
+    closing = coef[orbit_length[reps], reps]
+    sector, which = np.nonzero(
+        np.abs(_POWERS_OF_I[:, None] ** orbit_length[reps] - closing) < 1e-6)
+    rep = reps[which]                              # one column per (sector, orbit)
+    length = orbit_length[rep]
+    column = np.full((4, size), -1)
+    column[sector, rep] = np.arange(len(rep))
+    partner = column[sector, orbit[ref[rep]]]
+    if len(rep) != size or np.any(partner < 0):
+        raise ValueError("links lack the rotation symmetry: the orbits of S "
+                         "do not close, no sector basis")
+    m = np.arange(4)[:, None]
+    rows = pos[:4, rep]
+    data = np.where(m < length, _POWERS_OF_I[(-sector * m) % 4] * coef[:4, rep], 0)
+    data /= np.sqrt(length)
+    # T v = u v': compare the two at the site of T e_j
+    at = np.argmax(rows[:, partner] == ref[rep], axis=0)
+    u = ref_phase[rep] / (np.sqrt(length) * data[at, partner])
+    fixed, lo = partner == idx, idx < partner
     half = np.sqrt(0.5)
-    rows = np.concatenate([idx[fixed], idx[lo], perm[lo], perm[hi], idx[hi]])
-    cols = np.concatenate([idx[fixed], idx[lo], idx[lo], idx[hi], idx[hi]])
-    data = np.concatenate([np.sqrt(u[fixed]), np.full(lo.sum(), half), half * u[lo],
-                           np.full(hi.sum(), 1j * half), -1j * half * u[perm[hi]]])
-    return sp.csr_matrix((data, (rows, cols)), shape=(2 * v, 2 * v))
+    own = np.where(fixed, np.sqrt(u), np.where(lo, half, -1j * half * u[partner]))
+    other = np.where(fixed, 0, np.where(lo, half * u, 1j * half))
+    order = np.lexsort((rep >= size // 2, sector))
+    rank = np.empty(size, dtype=int)
+    rank[order] = idx
+    rows = np.concatenate([rows, rows[:, partner]])
+    data = np.concatenate([data * own, data[:, partner] * other])
+    cols = np.broadcast_to(rank, rows.shape)
+    nonzero = data != 0
+    basis = sp.csr_matrix((data[nonzero], (rows[nonzero], cols[nonzero])), shape=(size, size))
+    return basis, sector[order]
 
 
 def build_torus_dirac(spec: FluxBundleSpec) -> LatticeOperator:
@@ -218,21 +302,32 @@ class KernelResult:
     singular_values: np.ndarray = field(repr=False, compare=False)  # descending
 
 
-def kernel_dimension(op) -> KernelResult:
-    """Numerical kernel dimension of a (possibly rectangular) matrix.
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.zeros(0)
+
+
+def kernel_dimension(*blocks) -> KernelResult:
+    """Numerical kernel dimension of a (possibly rectangular) matrix, or of
+    the block diagonal matrix with the given diagonal blocks.
 
     Real input is decomposed in real arithmetic (integers as floats).
-    Counts singular values below sqrt(machine eps) times the largest one;
-    a matrix with more columns than rows contributes the shape deficit as
-    exact zeros.  Raises :class:`AmbiguousKernelError` unless the accepted
-    zeros lie at least ``MIN_GAP_RATIO`` below the rest.
+    Counts singular values (the union over the blocks) below sqrt(machine
+    eps) times the largest one; a block with more columns than rows
+    contributes its shape deficit as exact zeros.  Raises
+    :class:`AmbiguousKernelError` unless the accepted zeros lie at least
+    ``MIN_GAP_RATIO`` below the rest.
     """
-    a = np.asarray(op.toarray() if sp.issparse(op) else op)
-    a = a.astype(np.result_type(a, float), copy=False)     # real stays real
-    if a.ndim != 2:
+    if not blocks:
         raise ValueError("kernel_dimension expects a matrix")
-    svals = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.array([])
-    implicit = a.shape[1] - len(svals)
+    parts, implicit = [], 0
+    for op in blocks:
+        a = np.asarray(op.toarray() if sp.issparse(op) else op)
+        a = a.astype(np.result_type(a, float), copy=False)     # real stays real
+        if a.ndim != 2:
+            raise ValueError("kernel_dimension expects a matrix")
+        parts.append(_singular_values(a))
+        implicit += a.shape[1] - len(parts[-1])
+    svals = np.sort(np.concatenate(parts))[::-1]
     if not len(svals):
         return KernelResult(implicit, np.inf, 0.0, 0.0, svals)
     threshold = ZERO_THRESHOLD * max(float(svals[0]), 1e-300)
@@ -264,48 +359,63 @@ class _Overlap:
     gamma, 4 Q+[plus rows] Q+[plus rows]^* on the plus rows and D+ D+^* on
     the minus rows.
 
-    The eigensolve is real: ``basis`` is the T-invariant unitary W of
-    ``_real_basis`` (block diagonal in gamma), W^* H_W W is real symmetric,
-    and its real eigenvectors Q_r give Q = W Q_r.  So ``dplus`` is
-    2 Q_r[minus rows], D+ in the site basis is W[minus, minus] ``dplus``,
-    and both blocks keep their singular values in the real basis."""
+    The eigensolve is split and real: ``basis`` is the unitary sector basis
+    W of ``_sector_basis`` and ``sectors`` the sector of each column.  H_W
+    commutes with the lattice rotation S and with the antiunitary T, so
+    W^* H_W W is real symmetric and block diagonal in the four eigenspaces
+    of S; anything else is refused.  One real ``eigh`` per sector gives the
+    real eigenvectors Q_r of that block, and D+ is block diagonal: its
+    blocks ``dplus_blocks`` are 2 Q_r[minus rows] per sector, the rows being
+    the W columns ``minus_columns``, and its singular values are the union
+    of theirs, as are those of Q+[plus rows]."""
 
-    def __init__(self, kernel: sp.spmatrix, grading: np.ndarray, basis: sp.spmatrix):
+    def __init__(self, kernel: sp.spmatrix, grading: np.ndarray,
+                 basis: sp.spmatrix, sectors: np.ndarray):
         h = sp.diags(grading) @ kernel
-        if abs(h - h.conj().T).max() > 1e-12 * max(1.0, abs(h).max()):
+        scale = max(1.0, abs(h).max())
+        if abs(h - h.conj().T).max() > 1e-12 * scale:
             raise ValueError("hermitized Wilson kernel is not hermitian")
-        h = basis.conj().T @ h @ basis
-        if abs(h.imag).max() > 1e-12 * max(1.0, abs(h).max()):
-            raise ValueError("links lack the antiunitary symmetry: H_W is not "
-                             "real in the T-invariant basis")
-        evals, evecs = np.linalg.eigh(h.real.toarray())
-        hgap = float(np.min(np.abs(evals)))
-        if hgap < 1e-10 * max(float(np.max(np.abs(evals))), 1e-300):
+        h = (basis.conj().T @ h @ basis).tocoo()
+        split = sectors[h.row] != sectors[h.col]
+        if max(np.abs(h.data.imag).max(initial=0.0),
+               np.abs(h.data[split]).max(initial=0.0)) > 1e-12 * scale:
+            raise ValueError("links lack the rotation and reflection symmetry: H_W "
+                             "is not real and block diagonal in the sector basis")
+        h = h.real.tocsr()
+        minus = abs(basis).power(2).T @ grading < 0      # v^* gamma v per column
+        evals, self.dplus_blocks, self._plus_blocks, minus_columns = [], [], [], []
+        for sector in np.unique(sectors):
+            cols = np.flatnonzero(sectors == sector)
+            e, q = np.linalg.eigh(h[cols][:, cols].toarray())
+            rows, negative = minus[cols], e < 0
+            evals.append(e)
+            self.dplus_blocks.append(2.0 * q[np.ix_(rows, negative)])
+            self._plus_blocks.append(q[np.ix_(~rows, ~negative)])
+            minus_columns.append(cols[rows])
+        self.minus_columns = np.concatenate(minus_columns)
+        evals = np.abs(np.concatenate(evals))
+        if np.min(evals) < 1e-10 * max(float(np.max(evals)), 1e-300):
             raise AmbiguousKernelError(
                 "Wilson kernel has a near-zero mode; the sign function is "
                 "ill-defined (shift the mass or refine the lattice)")
-        # the diagonal of sign(H_W) = Q sign(l) Q^*, summed (W keeps the trace)
-        self.sign_trace = float((evecs ** 2 @ np.sign(evals)).sum())
-        minus, negative = grading < 0, evals < 0
-        self.dplus = 2.0 * evecs[np.ix_(minus, negative)]
-        self._plus_block = evecs[np.ix_(~minus, ~negative)]
 
     @cached_property
     def kernels(self) -> Tuple[KernelResult, KernelResult]:
-        """(ker D+, ker D-) from one SVD: D- = (D+)^* adds rows - cols zeros."""
-        ker_plus = kernel_dimension(self.dplus)
-        rows, cols = self.dplus.shape
-        return ker_plus, replace(ker_plus, dimension=ker_plus.dimension + rows - cols)
+        """(ker D+, ker D-) from one SVD per block: D- = (D+)^* adds rows - cols zeros."""
+        ker_plus = kernel_dimension(*self.dplus_blocks)
+        rows, cols = np.sum([b.shape for b in self.dplus_blocks], axis=0)
+        return ker_plus, replace(ker_plus, dimension=ker_plus.dimension + int(rows - cols))
 
     def zero_mode_chiralities(self) -> Tuple[int, int]:
         """(plus, minus) counts of D^*D eigenvalues below ZERO_THRESHOLD times
         the largest: 4 s^2 for the singular values s of Q+[plus rows], sigma^2
-        for those of D+, each padded with zeros to its block size."""
-        plus = 4.0 * np.linalg.svd(self._plus_block, compute_uv=False) ** 2
+        for those of D+ (each the union over the sectors), each padded with
+        zeros to its block size."""
+        plus = 4.0 * np.concatenate([_singular_values(b) for b in self._plus_blocks]) ** 2
         minus = self.kernels[0].singular_values ** 2
         thr = ZERO_THRESHOLD * max(plus.max(initial=0.0), minus.max(initial=0.0), 1e-300)
-        return (self._plus_block.shape[0] - int(np.sum(plus >= thr)),
-                self.dplus.shape[0] - int(np.sum(minus >= thr)))
+        return (sum(b.shape[0] for b in self._plus_blocks) - int(np.sum(plus >= thr)),
+                len(self.minus_columns) - int(np.sum(minus >= thr)))
 
 
 @dataclass(frozen=True)
@@ -331,21 +441,22 @@ class IndexResult:
 def index(op: LatticeOperator) -> IndexResult:
     """dim ker D+ - dim ker D- from one eigendecomposition of H_W (_Overlap):
     D+ = 2 Q-[minus rows], D- = (D+)^* has its singular values, and D^*D is
-    block diagonal in gamma.  The eigensolve is real symmetric: H_W commutes
-    with the antiunitary T = D (sigma3 x R_x) K, T^2 = +1, because charge
-    conjugation and the reflection x -> -x together keep the flux and the
-    holonomies (_real_basis), so H_W is real in the T-invariant basis W and
-    the blocks are read there.  Kernel counts, zero-mode chiralities and
-    spectral asymmetry must agree, which guards against numerical failure
-    only: the first equals the blocks' shape difference and the second
-    -1/2 Tr sign(H_W) (Luscher 1998)."""
+    block diagonal in gamma.  The eigensolve is split into four real
+    symmetric ones (_sector_basis).  The flux links have equal holonomies
+    along both axes, so the 90 degree lattice rotation with a spin rotation
+    and a gauge phase, S, commutes with H_W, and the four eigenspaces of S
+    (S^4 = 1) split it.  Charge conjugation and the reflection x -> -x
+    together keep the flux and the holonomies, so the antiunitary T = D
+    (sigma3 x R_x) K commutes with H_W, T^2 = +1 and T S T^-1 = S^-1: T
+    keeps each eigenspace of S, and H_W is real in a T-invariant basis of
+    each.  Kernel counts and zero-mode chiralities must agree, which guards
+    against numerical failure only: the kernel-count difference equals the
+    blocks' shape difference.  There is no separate spectral-asymmetry
+    reading: -1/2 Tr sign(H_W) is #negative - V because every eigenvector
+    has unit norm, which is that same shape difference (Luscher 1998)."""
     ov = op.overlap()
     ker_plus, ker_minus = ov.kernels
     idx = ker_plus.dimension - ker_minus.dimension
-    asym = -0.5 * ov.sign_trace
-    if abs(asym - round(asym)) > 1e-6 or int(round(asym)) != idx:
-        raise NonConvergenceError(
-            f"kernel count {idx} disagrees with spectral asymmetry {asym}")
     if ov.zero_mode_chiralities() != (ker_plus.dimension, ker_minus.dimension):
         raise NonConvergenceError(
             "chirality split of overlap zero modes disagrees with the "
@@ -357,9 +468,11 @@ def index(op: LatticeOperator) -> IndexResult:
 
 def disjoint_union_index(a: LatticeOperator, b: LatticeOperator) -> int:
     """Index over the block direct sum of two lattice operators."""
+    (basis_a, sectors_a), (basis_b, sectors_b) = a.sector_basis, b.sector_basis
     ker_plus, ker_minus = _Overlap(sp.block_diag((a.wilson_kernel, b.wilson_kernel)),
                                    np.concatenate([a.grading, b.grading]),
-                                   sp.block_diag((a.real_basis, b.real_basis))).kernels
+                                   sp.block_diag((basis_a, basis_b), format="csr"),
+                                   np.concatenate([sectors_a, sectors_b])).kernels
     return ker_plus.dimension - ker_minus.dimension
 
 

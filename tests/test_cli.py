@@ -98,6 +98,12 @@ def test_index_torus_validation_error(capsys):
     assert code == 2 and "lattice" in err
 
 
+def test_index_torus_refuses_mass_past_the_first_doubler(capsys):
+    code, out, err = run(capsys, "index-torus", "--N", "6", "--d", "1",
+                         "--r", "0.5", "--mass", "1.2")
+    assert code == 2 and out == "" and "2r" in err
+
+
 def test_spectral_flow_cli(capsys):
     code, out, _ = run(capsys, "spectral-flow", "--family", "shift",
                        "--t0", "0.001", "--t1", "1.001")
@@ -194,3 +200,13 @@ def test_acceptance_exit_logic(capsys, monkeypatch):
     monkeypatch.setattr(acc, "run_all", fake_run_all_fail)
     code, out, _ = run(capsys, "acceptance", "--format", "human")
     assert code == 1 and out.startswith("FAIL")
+
+
+def test_acceptance_lines_show_budget_use():
+    from spindex import acceptance as acc
+
+    assert (acc.CriterionResult("torus", True, "ok", 0.414, 120.0).line()
+            == "PASS torus: ok [0.41s / 120s]")
+    assert acc.CriterionResult("flow", False, "boom", 0.0).line() == "FAIL flow: boom [0.00s]"
+    assert acc._run("slow", 10.0, lambda: "done").line().endswith("s / 10s]")
+    assert acc._run("free", 0.0, lambda: "done").budget == 0.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,20 @@ def test_spec_validation():
         FluxBundleSpec(8, 0, wilson_mass=2.5)
     with pytest.raises(ValueError):
         FluxBundleSpec(8, 0, wilson_r=0.0)
+    with pytest.raises(ValueError, match="2r"):
+        FluxBundleSpec(8, 0, wilson_r=0.5, wilson_mass=1.0)
+    FluxBundleSpec(8, 0, wilson_r=0.5, wilson_mass=0.999)
+
+
+@pytest.mark.parametrize("r,mass", [(0.5, 1.2), (0.5, 1.5), (0.5, 1.7), (0.5, 1.95),
+                                    (0.7, 1.6), (0.3, 0.9)])
+def test_specs_past_the_first_doubler_crossing_are_refused(r, mass):
+    # ROADMAP item 1, Finding A: 132 of these 168 specs returned a wrong
+    # index without an error and 12 a NonConvergenceError
+    for n in (6, 8, 10, 12):
+        for d in range(-3, 4):
+            with pytest.raises(ValueError, match="2r"):
+                FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass)
 
 
 def test_matrix_size_and_plaquettes():
@@ -114,21 +129,33 @@ def test_index_kernel_sides():
 
 @pytest.mark.parametrize("n,d,r,mass", [
     (8, 13, 1.0, 1.95), (8, -13, 1.0, 1.95), (10, 23, 1.0, 1.95), (10, -23, 1.0, 1.95),
+    (12, 29, 1.0, 1.95), (12, -29, 1.0, 1.95),
     (10, 3, 0.5, 1.7), (10, -3, 0.5, 1.7), (10, 3, 0.5, 1.95), (10, -3, 0.5, 1.95)])
 def test_chirality_reading_flags_near_zero_modes(n, d, r, mass):
     # near-zero overlap modes: nonzero for the kernel threshold on singular
     # values, zero for the D^*D threshold on eigenvalues; without the
-    # chirality cross-check these inputs return a wrong index
+    # chirality cross-check these inputs return a wrong index.  The r = 0.5
+    # inputs lie past the first doubler crossing, m0 >= 2r, and are refused
+    # before any eigensolve.
+    if mass >= 2 * r:
+        with pytest.raises(ValueError, match="2r"):
+            FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass)
+        return
     with pytest.raises(NonConvergenceError, match="chirality"):
         index(build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass)))
 
 
 @pytest.mark.parametrize("n", [5, 8, 10])
 @pytest.mark.parametrize("d", [-2, 0, 3])
-@pytest.mark.parametrize("r,mass", [(1.0, 1.0), (0.5, 1.7)])
+@pytest.mark.parametrize("r,mass", [(1.0, 1.0), (0.5, 0.9), (0.5, 1.7)])
 def test_overlap_readings_match_dense_oracle(n, d, r, mass):
     """The eigenvector readings against the dense overlap D = 1 + gamma
-    sign(H_W) and an eigendecomposition of D^*D."""
+    sign(H_W) and an eigendecomposition of D^*D.  (0.5, 1.7) lies past the
+    first doubler crossing, m0 >= 2r, and is refused."""
+    if mass >= 2 * r:
+        with pytest.raises(ValueError, match="2r"):
+            FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass)
+        return
     op = build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass))
     g = op.grading
     # H_W assembled as the pipeline assembles it, signed zeros included, so
@@ -155,44 +182,75 @@ def test_overlap_readings_match_dense_oracle(n, d, r, mass):
     assert abs(ker_minus.gap - direct.gap) <= 1e-12 * direct.singular_values[0]
 
 
+def _monomial_matrix(perm, phase):
+    return sp.csr_matrix((phase, (perm, np.arange(len(perm)))), shape=(len(perm),) * 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_real_basis_property(data):
-    """W is unitary, W^* H_W W is real, and the real-basis D+ has the
-    singular values of 2 Q-[minus rows] from a complex eigh of H_W, for
-    fresh operators, gauge copies and disjoint unions."""
+def test_sector_basis_property(data):
+    """S^4 = 1, S commutes with gamma and H_W, T S T^-1 = S^-1; W is unitary,
+    W^* H_W W is real and block diagonal by sector, and the sector D+ blocks
+    have the singular values of 2 Q-[minus rows] from a complex eigh of H_W,
+    for fresh operators (odd N included), gauge copies and disjoint unions."""
     ops = []
     for _ in range(data.draw(st.integers(1, 2))):
         n = data.draw(st.integers(4, 10))
         d = data.draw(st.integers(-(n * n // 4), n * n // 4))
         r = data.draw(st.floats(0.3, 1.5))
-        m0 = data.draw(st.floats(0.05, 1.95))
+        m0 = data.draw(st.floats(0.05, min(1.95, 2 * r), exclude_max=True))
         op = build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=m0))
         if data.draw(st.booleans()):
             seed = data.draw(st.integers(0, 2 ** 32 - 1))
             op = gauge_transform(op, np.random.default_rng(seed).uniform(0, 2 * np.pi, (n, n)))
         ops.append(op)
+    for op in ops:
+        rotation, reflection = (_monomial_matrix(*m) for m in ti._symmetries(op.ux, op.uy))
+        h = sp.diags(op.grading) @ op.wilson_kernel
+        eye = sp.identity(len(op.grading))
+        assert abs(rotation @ rotation @ rotation @ rotation - eye).max() <= 1e-12
+        assert abs(rotation @ h - h @ rotation).max() <= 1e-12
+        assert abs(rotation @ sp.diags(op.grading) - sp.diags(op.grading) @ rotation).max() == 0
+        # T = U K: T S T^-1 = U conj(S) U^*
+        assert abs(reflection @ rotation.conj() @ reflection.conj().T
+                   - rotation.conj().T).max() <= 1e-12
     kernel = sp.block_diag([op.wilson_kernel for op in ops])
     g = np.concatenate([op.grading for op in ops])
-    basis = sp.block_diag([op.real_basis for op in ops]).toarray()
+    basis = sp.block_diag([op.sector_basis[0] for op in ops]).toarray()
+    sectors = np.concatenate([op.sector_basis[1] for op in ops])
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(g)))) <= 1e-12
     h = (sp.diags(g) @ kernel).toarray()
-    assert np.max(np.abs((basis.conj().T @ h @ basis).imag)) <= 1e-12 * np.max(np.abs(h))
+    split = basis.conj().T @ h @ basis
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(split.imag)) <= 1e-12 * scale
+    assert np.max(np.abs(split[sectors[:, None] != sectors[None, :]])) <= 1e-12 * scale
 
     try:
-        ov = ti._Overlap(kernel, g, sp.csr_matrix(basis))
+        ov = ti._Overlap(kernel, g, sp.csr_matrix(basis), sectors)
     except AmbiguousKernelError:
         assume(False)
     minus = g < 0
-    dplus = basis[np.ix_(minus, minus)] @ ov.dplus
     evals, evecs = np.linalg.eigh(h)
     oracle = 2.0 * evecs[np.ix_(minus, evals < 0)]
+    s_oracle = np.linalg.svd(oracle, compute_uv=False)
+    dplus = basis[np.ix_(minus, ov.minus_columns)] @ block_diag(*ov.dplus_blocks)
     assert dplus.shape == oracle.shape
     s_site = np.linalg.svd(dplus, compute_uv=False)
-    s_real = np.linalg.svd(ov.dplus, compute_uv=False)
-    s_oracle = np.linalg.svd(oracle, compute_uv=False)
+    s_sector = np.zeros(len(s_oracle))                  # padded with the implicit zeros
+    s_sector[:sum(min(b.shape) for b in ov.dplus_blocks)] = np.sort(np.concatenate(
+        [np.linalg.svd(b, compute_uv=False) for b in ov.dplus_blocks if min(b.shape)]))[::-1]
     assert np.max(np.abs(s_site - s_oracle)) <= 1e-12 * 2
-    assert np.max(np.abs(s_real - s_oracle)) <= 1e-12 * 2
+    assert np.max(np.abs(s_sector - s_oracle)) <= 1e-12 * 2
+
+
+def test_overlap_refuses_complex_or_off_sector_blocks():
+    op = build_torus_dirac(FluxBundleSpec(6, 1))
+    basis, sectors = op.sector_basis
+    phases = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, len(sectors)))
+    with pytest.raises(ValueError, match="symmetry"):
+        ti._Overlap(op.wilson_kernel, op.grading, basis @ sp.diags(phases), sectors)
+    with pytest.raises(ValueError, match="symmetry"):
+        ti._Overlap(op.wilson_kernel, op.grading, basis, np.roll(sectors, 1))
 
 
 def test_links_without_the_symmetry_are_refused():
@@ -201,6 +259,21 @@ def test_links_without_the_symmetry_are_refused():
     ux, uy = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, 6, 6)))
     op = ti.LatticeOperator.__new__(ti.LatticeOperator)
     op._assemble(spec, ux, uy)
+    with pytest.raises(ValueError, match="symmetry"):
+        index(op)
+
+
+@pytest.mark.parametrize("n,d", [(6, 1), (5, 0), (8, -2)])
+def test_links_that_keep_t_but_break_the_rotation_are_refused(n, d):
+    # a flat x-Wilson line e^{i theta} on the flux links: conjugation and
+    # x -> -x still give a gauge copy, a 90 degree rotation does not
+    spec = FluxBundleSpec(n, d)
+    ux, uy = ti.flux_links(spec)
+    op = ti.LatticeOperator.__new__(ti.LatticeOperator)
+    op._assemble(spec, ux * np.exp(0.7j / n), uy)
+    reflection = _monomial_matrix(*ti._symmetries(op.ux, op.uy)[1])
+    h = sp.diags(op.grading) @ op.wilson_kernel
+    assert abs(reflection @ h.conj() @ reflection.conj().T - h).max() <= 1e-12
     with pytest.raises(ValueError, match="symmetry"):
         index(op)
 
