@@ -10,8 +10,8 @@ has symbol ``i cl(xi)``; both identities are pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,15 +74,21 @@ class SymbolPolynomial:
     shape: Tuple[int, int]
 
     def evaluate(self, xi: Sequence[float]) -> np.ndarray:
-        if len(xi) != self.base_dim:
+        return self.evaluate_many([xi])[0]
+
+    def evaluate_many(self, xis) -> np.ndarray:
+        """The symbol at each row of the (P, base_dim) array ``xis``, as a
+        (P, rows, cols) stack; row p equals ``evaluate(xis[p])`` bitwise."""
+        xis = np.asarray(xis, dtype=float)
+        if xis.ndim != 2 or xis.shape[1] != self.base_dim:
             raise ValueError("covector length must equal base dimension")
-        out = np.zeros(self.shape, dtype=complex)
-        z = [1j * x for x in xi]
+        out = np.zeros((len(xis),) + tuple(self.shape), dtype=complex)
+        z = 1j * xis
         for alpha, a in self.terms.items():
-            factor = 1.0 + 0.0j
-            for zj, k in zip(z, alpha):
+            factor = np.ones(len(xis), dtype=complex)
+            for zj, k in zip(z.T, alpha):
                 factor *= zj ** k
-            out += factor * a
+            out += factor[:, None, None] * a
         return out
 
 
@@ -140,6 +146,8 @@ class EllipticityReport:
     min_singular: float
     scale: float
     samples: int
+    evaluations: int            # symbols evaluated: every scan point and refinement probe
+    minimum_round: int          # refinement round that found the minimum, 0: the scan
     witness: Optional[Tuple[float, ...]] = None
     witness_exact: Optional[Tuple[int, ...]] = None
 
@@ -147,88 +155,104 @@ class EllipticityReport:
         return self.elliptic
 
 
-def _halton(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while index > 0:
+def _halton(index: np.ndarray, base: int) -> np.ndarray:
+    """Radical inverse in ``base`` of each entry of the index array."""
+    f, r = 1.0, np.zeros(len(index))
+    while index.any():
         f /= base
         r += f * (index % base)
-        index //= base
+        index = index // base
     return r
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bitwise equal to ``np.linalg.norm`` of the
+    row (one dot product each; ``norm(axis=1)`` sums in another order)."""
+    return np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0])
+
+
 def _sphere_points(n: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy points on the unit sphere in R^n."""
-    pts = []
-    idx = 1
+    """Deterministic low-discrepancy points on the unit sphere in R^n: the
+    first ``count`` Halton points of the cube [-1, 1]^n (from index 1) whose
+    norm exceeds 1e-3, normalized."""
+    pts, start = np.zeros((0, n)), 1
     while len(pts) < count:
-        v = np.array([2.0 * _halton(idx, _PRIMES[j % len(_PRIMES)]) - 1.0
-                      for j in range(n)])
-        idx += 1
-        norm = np.linalg.norm(v)
-        if norm > 1e-3:
-            pts.append(v / norm)
-    return np.array(pts)
+        idx = np.arange(start, start + count - len(pts))
+        start += len(idx)
+        v = np.stack([2.0 * _halton(idx, _PRIMES[j % len(_PRIMES)]) - 1.0
+                      for j in range(n)], axis=1)
+        norm = _row_norms(v)
+        keep = norm > 1e-3
+        pts = np.concatenate([pts, v[keep] / norm[keep, None]])
+    return pts
+
+
+def _extreme_singular_values(sym: SymbolPolynomial,
+                             xis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(smallest, largest) singular value of the symbol at each row of xis."""
+    svals = np.linalg.svd(sym.evaluate_many(xis), compute_uv=False)
+    if svals.shape[1] == 0:
+        return np.full(len(xis), np.inf), np.zeros(len(xis))
+    return svals[:, -1], svals[:, 0]
 
 
 def is_elliptic(sym: SymbolPolynomial) -> EllipticityReport:
     """Invertibility of the symbol on the unit sphere, by low-discrepancy
     sampling plus local refinement around the worst direction.
 
+    Each refinement round tries PROBES_PER_ROUND probe directions, in order,
+    around the running minimizer and moves to every probe that improves on
+    it.  One batch evaluates the remaining probes around the current centre;
+    after the first improving one the probes behind it are evaluated again
+    around the new centre, so the path is the one of a probe-by-probe loop.
+
     A non-elliptic verdict carries a witness direction; when the witness
     snaps to a small integer covector the degeneracy is re-verified with an
     exact determinant (homogeneity makes scaling irrelevant).
     """
     n = sym.base_dim
-    pts = list(_sphere_points(n, min(4 ** n, MAX_SPHERE_POINTS)))
-    for i in range(n):
-        axis = np.zeros(n)
-        axis[i] = 1.0
-        pts.extend([axis, -axis])
-
-    def min_sv(v):
-        svals = np.linalg.svd(sym.evaluate(v), compute_uv=False)
-        return (svals[-1], svals[0]) if len(svals) else (np.inf, 0.0)
-
-    best_v, best = None, np.inf
-    scale = 0.0
-    for v in pts:
-        lo, hi = min_sv(v)
-        scale = max(scale, hi)
-        if lo < best:
-            best, best_v = lo, v
+    eye = np.eye(n)
+    pts = np.concatenate([_sphere_points(n, min(4 ** n, MAX_SPHERE_POINTS)),
+                          np.stack([eye, -eye], axis=1).reshape(2 * n, n)])
+    lo, hi = _extreme_singular_values(sym, pts)
+    first = int(np.argmin(lo))
+    best, best_v, scale = lo[first], pts[first], hi.max()
+    evaluations, minimum_round = len(pts), 0
 
     # local refinement: shrink a probe ball around the running minimizer
+    # (best_v is a unit vector and radius <= 0.5, so no probe is near zero)
     radius = 0.5
     probe_dirs = _sphere_points(n, PROBES_PER_ROUND)
-    for _ in range(REFINE_ROUNDS):
-        improved = False
-        for d in probe_dirs:
-            cand = best_v + radius * d
-            norm = np.linalg.norm(cand)
-            if norm < 1e-9:
-                continue
-            cand = cand / norm
-            lo, _ = min_sv(cand)
-            if lo < best:
-                best, best_v, improved = lo, cand, True
-        if not improved:
-            radius *= 0.6
-            if radius < 1e-14:
+    for round_ in range(1, REFINE_ROUNDS + 1):
+        rest = probe_dirs
+        while len(rest):
+            cand = best_v + radius * rest
+            cand = cand / _row_norms(cand)[:, None]
+            lo, _ = _extreme_singular_values(sym, cand)
+            evaluations += len(cand)
+            better = np.flatnonzero(lo < best)
+            if not better.size:
                 break
+            first = better[0]
+            best, best_v, minimum_round = lo[first], cand[first], round_
+            rest = rest[first + 1:]
+        if minimum_round != round_:
+            radius *= 0.6
 
     threshold = ELLIPTIC_RTOL * max(scale, 1e-300)
     if best > threshold:
-        return EllipticityReport(True, float(best), float(scale), len(pts))
+        return EllipticityReport(True, float(best), float(scale), len(pts),
+                                 evaluations, minimum_round)
     witness = tuple(float(x) for x in best_v)
     exact = _snap_exact_witness(sym, best_v)
     if exact is not None:
         norm = math.sqrt(sum(x * x for x in exact))
         witness = tuple(x / norm for x in exact)
     return EllipticityReport(False, float(best), float(scale), len(pts),
-                             witness, exact)
+                             evaluations, minimum_round, witness, exact)
 
 
 def _snap_exact_witness(sym: SymbolPolynomial, v: np.ndarray,
@@ -286,53 +310,69 @@ def _exact_symbol_singular(sym: SymbolPolynomial, xi: Tuple[int, ...]) -> bool:
 # difference-bundle classes from graded modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolClass:
-    """Difference-bundle data on the sphere: ranks of the two bundles and a
-    clutching map, invertible at every nonzero vector."""
+    """Difference-bundle data on the sphere S^(k-1): the real-linear clutching
+    map v -> sum_i v_i C_i from the plus to the minus bundle, given by its k
+    coefficient matrices ``coefficients[i] = C_i`` (shape (k, rank_minus,
+    rank_plus)) and invertible at every nonzero vector."""
 
-    k: int
-    rank_plus: int
-    rank_minus: int
-    clutching: Callable[[Sequence[float]], np.ndarray] = field(compare=False)
+    coefficients: np.ndarray
 
     def __post_init__(self):
+        c = np.array(self.coefficients, dtype=complex)
+        if c.ndim != 3:
+            raise ValueError("coefficients must be a (k, rank_minus, rank_plus) stack")
+        c.setflags(write=False)
+        object.__setattr__(self, "coefficients", c)
         if self.rank_plus != self.rank_minus:
             raise ValueError("clutching needs equal ranks to be invertible")
-        for v in _sphere_points(max(self.k, 1), 16):
-            m = self.clutching(v)
-            if m.shape != (self.rank_minus, self.rank_plus):
-                raise ValueError("clutching shape mismatch")
-            if self.rank_plus and np.linalg.svd(m, compute_uv=False)[-1] < 1e-12:
+        if self.rank_plus:
+            # for k = 0 (an empty sphere) the 16 points are empty vectors,
+            # so a nonzero rank is refused as singular
+            pts = _sphere_points(max(self.k, 1), 16)[:, :self.k]
+            m = np.tensordot(pts, c, axes=1)
+            if np.linalg.svd(m, compute_uv=False)[:, -1].min() < 1e-12:
                 raise ValueError("clutching is singular on the sphere")
+
+    @property
+    def k(self) -> int:
+        return self.coefficients.shape[0]
+
+    @property
+    def rank_minus(self) -> int:
+        return self.coefficients.shape[1]
+
+    @property
+    def rank_plus(self) -> int:
+        return self.coefficients.shape[2]
+
+    def clutching(self, v: Sequence[float]) -> np.ndarray:
+        """sum_i v_i C_i at one vector v of R^k."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.k,):
+            raise ValueError("vector length must match the Clifford dimension")
+        return np.tensordot(v, self.coefficients, axes=1)
 
 
 def abs_class(module: CliffordModule) -> SymbolClass:
     """Clifford multiplication as a clutching map between the grading
-    eigenspaces of a graded module."""
+    eigenspaces of a graded module: C_i = B_-^* g_i B_+ for orthonormal
+    bases B_+- of the two eigenspaces."""
     if module.grading is None:
         raise ValueError("difference-bundle class needs a graded module")
     module.validate(tol=0.0 if not spinors._is_float_module(module) else 1e-9)
     k = module.clifford_dim
     if module.dim == 0:
-        return SymbolClass(k, 0, 0, lambda v: np.zeros((0, 0), dtype=complex))
+        return SymbolClass(np.zeros((k, 0, 0)))
     eps = module.grading
     if np.max(np.abs(eps - eps.conj().T)) > 1e-9:
         raise ValueError("clutching classes need an orthogonal (hermitian) grading")
     w, q = np.linalg.eigh((eps + eps.conj().T) / 2)
     basis_minus = q[:, w < 0]
     basis_plus = q[:, w > 0]
-    gens = module.generators
-
-    def clutching(v: Sequence[float]) -> np.ndarray:
-        if len(v) != k:
-            raise ValueError("vector length must match the Clifford dimension")
-        m = np.zeros((module.dim, module.dim), dtype=complex)
-        for vi, g in zip(v, gens):
-            m += vi * g
-        return basis_minus.conj().T @ m @ basis_plus
-
-    return SymbolClass(k, basis_plus.shape[1], basis_minus.shape[1], clutching)
+    coefficients = [basis_minus.conj().T @ g @ basis_plus for g in module.generators]
+    return SymbolClass(np.reshape(coefficients, (k, basis_minus.shape[1], basis_plus.shape[1])))
 
 
 WINDING_GRID = 4096         # points at which winding_number samples the circle
@@ -350,8 +390,8 @@ def winding_number(sc: SymbolClass) -> int:
     if sc.rank_plus == 0:
         return 0
     theta = np.linspace(0.0, 2.0 * math.pi, WINDING_GRID, endpoint=False)
-    dets = np.array([np.linalg.det(sc.clutching((math.cos(t), math.sin(t))))
-                     for t in theta])
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    dets = np.linalg.det(np.tensordot(circle, sc.coefficients, axes=1))
     if np.min(np.abs(dets)) < 1e-12:
         raise AmbiguousWindingError("clutching degenerate at a grid point")
     ratios = dets / np.roll(dets, 1)
@@ -472,49 +512,40 @@ def _smith_invariants(rows: List[List[int]], cols: int) -> Tuple[List[int], int]
 # the exterior-algebra Thom class
 # ---------------------------------------------------------------------------
 
+def _exterior_coefficients(n: int) -> np.ndarray:
+    """The 2n coefficient matrices of cl(v) = v wedge . - v* contract . on
+    Lambda* C^n, for v in R^2n = C^n (z_j = v_2j + i v_2j+1): with W_j the
+    wedge with e_j and K_j the contraction with e_j*, C_2j = W_j - K_j and
+    C_2j+1 = i (W_j + K_j)."""
+    size = 1 << n
+    wedge = np.zeros((n, size, size))
+    contract = np.zeros((n, size, size))
+    for s in range(size):
+        for j in range(n):
+            bit = 1 << j
+            sign = -1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0
+            if not s & bit:
+                wedge[j, s | bit, s] = sign
+            else:
+                contract[j, s ^ bit, s] = sign
+    c = np.empty((2 * n, size, size), dtype=complex)
+    c[0::2] = wedge - contract
+    c[1::2] = 1j * (wedge + contract)
+    return c
+
+
 def thom_class_complex(n: int) -> SymbolClass:
     """Exterior-algebra model on a single fiber C^n (viewed as R^2n):
     clutching v -> v wedge . - v* contract . from even to odd forms."""
     if n < 1:
         raise ValueError("complex rank must be >= 1")
-    subsets = list(range(1 << n))
-    even = [s for s in subsets if bin(s).count("1") % 2 == 0]
-    odd = [s for s in subsets if bin(s).count("1") % 2 == 1]
-    pos_even = {s: i for i, s in enumerate(even)}
-    pos_odd = {s: i for i, s in enumerate(odd)}
-
-    def clutching(v: Sequence[float]) -> np.ndarray:
-        if len(v) != 2 * n:
-            raise ValueError("vector must have 2n real coordinates")
-        z = [complex(v[2 * j], v[2 * j + 1]) for j in range(n)]
-        m = np.zeros((len(odd), len(even)), dtype=complex)
-        for s in even:
-            col = pos_even[s]
-            for j in range(n):
-                bit = 1 << j
-                sign = -1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0
-                if not s & bit:                       # wedge with e_j
-                    m[pos_odd[s | bit], col] += sign * z[j]
-                else:                                 # contract with e_j*
-                    m[pos_odd[s ^ bit], col] -= sign * z[j].conjugate()
-        return m
-
-    return SymbolClass(2 * n, len(even), len(odd), clutching)
+    parity = np.array([bin(s).count("1") % 2 for s in range(1 << n)])
+    c = _exterior_coefficients(n)
+    return SymbolClass(c[:, parity == 1][:, :, parity == 0])
 
 
 def exterior_clifford_matrix(v: Sequence[float], n: int) -> np.ndarray:
     """Full cl(v) = v wedge . - v* contract . on all of Lambda* C^n."""
     if len(v) != 2 * n:
         raise ValueError("vector must have 2n real coordinates")
-    z = [complex(v[2 * j], v[2 * j + 1]) for j in range(n)]
-    size = 1 << n
-    m = np.zeros((size, size), dtype=complex)
-    for s in range(size):
-        for j in range(n):
-            bit = 1 << j
-            sign = -1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0
-            if not s & bit:
-                m[s | bit, s] += sign * z[j]
-            else:
-                m[s ^ bit, s] -= sign * z[j].conjugate()
-    return m
+    return np.tensordot(np.asarray(v, dtype=float), _exterior_coefficients(n), axes=1)

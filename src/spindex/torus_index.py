@@ -394,7 +394,7 @@ class _Overlap:
             minus_columns.append(cols[rows])
         self.minus_columns = np.concatenate(minus_columns)
         evals = np.abs(np.concatenate(evals))
-        if np.min(evals) < 1e-10 * max(float(np.max(evals)), 1e-300):
+        if np.min(evals) < ZERO_THRESHOLD * max(float(np.max(evals)), 1e-300):
             raise AmbiguousKernelError(
                 "Wilson kernel has a near-zero mode; the sign function is "
                 "ill-defined (shift the mass or refine the lattice)")

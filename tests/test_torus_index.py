@@ -101,6 +101,15 @@ def test_kernel_dimension_ambiguity():
         kernel_dimension(np.diag([1.0, 4e-8, 1e-9]))
 
 
+
+def test_near_zero_wilson_mode_is_refused():
+    """m0 sits 4e-16 below 2r: the doubler mode of H_W is 4.1e-10 of the
+    largest eigenvalue, a sign function that a 1e-10 cut accepted and read
+    as index 0 (ker 1/1) for d = 3."""
+    spec = FluxBundleSpec(7, 3, wilson_r=0.5483816009721916, wilson_mass=1.0967632019443827)
+    with pytest.raises(AmbiguousKernelError):
+        index(build_torus_dirac(spec))
+
 def test_dplus_block_kernel_flux_one():
     op = build_torus_dirac(FluxBundleSpec(12, 1))
     dplus, dminus = op.chiral_blocks()
