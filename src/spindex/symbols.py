@@ -212,8 +212,17 @@ def is_elliptic(sym: SymbolPolynomial) -> EllipticityReport:
     A non-elliptic verdict carries a witness direction; when the witness
     snaps to a small integer covector the degeneracy is re-verified with an
     exact determinant (homogeneity makes scaling irrelevant).
+
+    A non-square symbol is invertible nowhere, so it is reported before any
+    sampling: not elliptic, ``min_singular`` 0.0 (the shape deficit counts
+    as zero singular values), ``scale`` 0.0, no samples or evaluations,
+    ``minimum_round`` 0, and the first basis covector as ``witness`` and
+    ``witness_exact``, since every covector is one.
     """
     n = sym.base_dim
+    if sym.shape[0] != sym.shape[1]:
+        first = (1,) + (0,) * (n - 1)
+        return EllipticityReport(False, 0.0, 0.0, 0, 0, 0, tuple(map(float, first)), first)
     eye = np.eye(n)
     pts = np.concatenate([_sphere_points(n, min(4 ** n, MAX_SPHERE_POINTS)),
                           np.stack([eye, -eye], axis=1).reshape(2 * n, n)])

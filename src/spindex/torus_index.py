@@ -94,6 +94,13 @@ class LatticeOperator:
     is kept alongside; the sector basis of H_W (``sector_basis``), the
     overlap data (one real eigendecomposition per sector of H_W) and the
     rectangular chiral blocks are computed on demand and cached.
+
+    Both matrices come from a five-point stencil, each in one CSR
+    construction from coordinate arrays: the hop from site s to its forward
+    neighbour along axis mu carries u_mu(s) and the hop back conj(u_mu(s)).
+    ``matrix`` puts +u/2 and -conj(u)/2 on the spinor entries of gamma^mu;
+    ``wilson_kernel`` = -i ``matrix`` + r/2 (4 - hops) - m0 adds -r/2 u and
+    -r/2 conj(u) on both spinor components and 2r - m0 on the diagonal.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -103,20 +110,36 @@ class LatticeOperator:
         self.spec = spec
         self.ux, self.uy = ux, uy
         v = spec.sites
-        t1, t2 = _shift_operators(ux, uy)
-        d1 = (t1 - t1.conj().T) * 0.5
-        d2 = (t2 - t2.conj().T) * 0.5
-        self.matrix = sp.csr_matrix(
-            sp.kron(sp.csr_matrix(_G1), d1) + sp.kron(sp.csr_matrix(_G2), d2))
+        site = np.arange(v)
+        # the 4V directed hops, axis by axis: s -> s + mu carries u[s], the
+        # hop back conj(u[s]); shape (2 axes, 2V hops)
+        ahead = _neighbours(spec.lattice_size)
+        hop_rows = np.stack([np.concatenate([site, a]) for a in ahead])
+        hop_cols = np.stack([np.concatenate([a, site]) for a in ahead])
+        links = np.stack([np.concatenate([u.ravel(), np.conj(u).ravel()]) for u in (ux, uy)])
+        # central differences: +u/2 forward, -conj(u)/2 back, on the spinor
+        # entries (a, b) of gamma^mu
+        half = 0.5 * links * np.repeat([1.0, -1.0], v)
+        gammas = np.stack([_G1, _G2])
+        mu, a, b = np.nonzero(gammas)
+        rows = (a[:, None] * v + hop_rows[mu]).ravel()
+        cols = (b[:, None] * v + hop_cols[mu]).ravel()
+        data = (gammas[mu, a, b][:, None] * half[mu]).ravel()
+        self.matrix = sp.csr_matrix((data, (rows, cols)), shape=(2 * v, 2 * v))
         # chirality orientation: the second spinor component is S+, which
         # pairs the positive-flux bundle with holomorphic zero modes
         self.grading = np.concatenate([-np.ones(v), np.ones(v)])
+        # kernel -i D + W - m0 with the Wilson term W = r/2 (4 - hops): hops
+        # -r/2 u and -r/2 conj(u) and the diagonal 2r - m0 on each component
         r, m0 = spec.wilson_r, spec.wilson_mass
-        wilson = 0.5 * r * (4.0 * sp.identity(v, dtype=complex)
-                            - t1 - t1.conj().T - t2 - t2.conj().T)
+        chiral = np.arange(2)[:, None] * v
+        same_rows = (chiral + np.concatenate([hop_rows.ravel(), site])).ravel()
+        same_cols = (chiral + np.concatenate([hop_cols.ravel(), site])).ravel()
+        same = np.concatenate([-0.5 * r * links.ravel(), np.full(v, 2.0 * r - m0)])
         self.wilson_kernel = sp.csr_matrix(
-            -1j * self.matrix + sp.kron(sp.identity(2, dtype=complex), wilson)
-            - m0 * sp.identity(2 * v, dtype=complex))
+            (np.concatenate([-1j * data, same, same]),
+             (np.concatenate([rows, same_rows]), np.concatenate([cols, same_cols]))),
+            shape=(2 * v, 2 * v))
         self._overlap: Optional[_Overlap] = None
 
     def plaquette_phases(self) -> np.ndarray:
@@ -150,17 +173,12 @@ class LatticeOperator:
             stream.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
 
 
-def _shift_operators(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Link-weighted forward shifts: site (x, y) is row x*N + y, and t1
-    (t2) carries ux[x, y] (uy[x, y]) to the neighbour at x + 1 (y + 1)."""
-    n = ux.shape[0]
+def _neighbours(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward neighbours of every site: site (x, y) is row x*N + y, and
+    entry s of the two arrays is the site at x + 1 and at y + 1, where the
+    hop from s carries ux[x, y] and uy[x, y]."""
     site = np.arange(n * n).reshape(n, n)
-
-    def shift(links: np.ndarray, axis: int) -> sp.csr_matrix:
-        cols = np.roll(site, -1, axis=axis).ravel()
-        return sp.csr_matrix((links.ravel(), (site.ravel(), cols)), shape=(n * n, n * n))
-
-    return shift(ux, 0), shift(uy, 1)
+    return np.roll(site, -1, axis=0).ravel(), np.roll(site, -1, axis=1).ravel()
 
 
 def _gauge_phase(ux: np.ndarray, uy: np.ndarray,
@@ -367,12 +385,19 @@ class _Overlap:
     real eigenvectors Q_r of that block, and D+ is block diagonal: its
     blocks ``dplus_blocks`` are 2 Q_r[minus rows] per sector, the rows being
     the W columns ``minus_columns``, and its singular values are the union
-    of theirs, as are those of Q+[plus rows]."""
+    of theirs, as are those of Q+[plus rows].
+
+    W^* H_W W is one sparse product; its in-sector entries are scattered
+    into one dense block per sector, a column's place in its block being
+    its rank among the columns of its sector, so ``sectors`` may come in
+    any order (a disjoint union interleaves two operators' sectors)."""
 
     def __init__(self, kernel: sp.spmatrix, grading: np.ndarray,
                  basis: sp.spmatrix, sectors: np.ndarray):
-        h = sp.diags(grading) @ kernel
-        scale = max(1.0, abs(h).max())
+        kernel = kernel.tocsr()
+        h = sp.csr_matrix((kernel.data * np.repeat(grading, np.diff(kernel.indptr)),
+                           kernel.indices, kernel.indptr), shape=kernel.shape)
+        scale = max(1.0, np.abs(h.data).max(initial=0.0))
         if abs(h - h.conj().T).max() > 1e-12 * scale:
             raise ValueError("hermitized Wilson kernel is not hermitian")
         h = (basis.conj().T @ h @ basis).tocoo()
@@ -381,12 +406,24 @@ class _Overlap:
                np.abs(h.data[split]).max(initial=0.0)) > 1e-12 * scale:
             raise ValueError("links lack the rotation and reflection symmetry: H_W "
                              "is not real and block diagonal in the sector basis")
-        h = h.real.tocsr()
+        # scatter each sector's entries into a dense block, a column's place
+        # in its block being its rank among the columns of its sector
+        _, block_of, sizes = np.unique(sectors, return_inverse=True, return_counts=True)
+        order = np.argsort(sectors, kind="stable")
+        ends = np.cumsum(sizes)
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order)) - np.repeat(ends - sizes, sizes)
+        keep = ~split
+        i, j, entries = h.row[keep], h.col[keep], h.data.real[keep]
+        in_block = block_of[i]
+        del h       # the complex product: not held through the eigensolves
         minus = abs(basis).power(2).T @ grading < 0      # v^* gamma v per column
         evals, self.dplus_blocks, self._plus_blocks, minus_columns = [], [], [], []
-        for sector in np.unique(sectors):
-            cols = np.flatnonzero(sectors == sector)
-            e, q = np.linalg.eigh(h[cols][:, cols].toarray())
+        for b, cols in enumerate(np.split(order, ends[:-1])):
+            block = np.zeros((len(cols), len(cols)))
+            here = in_block == b
+            block[place[i[here]], place[j[here]]] = entries[here]
+            e, q = np.linalg.eigh(block)
             rows, negative = minus[cols], e < 0
             evals.append(e)
             self.dplus_blocks.append(2.0 * q[np.ix_(rows, negative)])

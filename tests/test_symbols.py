@@ -81,6 +81,22 @@ def test_ellipticity_witness_higher_dimension():
     assert tau * tau == sum(x * x for x in space)
 
 
+@pytest.mark.parametrize("terms", [
+    (((1, 0), [[1, 0]]), ((0, 1), [[0, 1]])),          # 1 x 2 gradient
+    (((1, 0), [[1], [0]]), ((0, 1), [[0], [2]])),      # 2 x 1
+])
+def test_non_square_symbol_is_not_elliptic(terms, monkeypatch):
+    sym = principal_symbol(OperatorSpec(2, 1, terms))
+
+    def no_sampling(self, xis):
+        raise AssertionError("a non-square symbol needs no sampling")
+
+    monkeypatch.setattr(symbols.SymbolPolynomial, "evaluate_many", no_sampling)
+    assert is_elliptic(sym) == symbols.EllipticityReport(
+        elliptic=False, min_singular=0.0, scale=0.0, samples=0, evaluations=0,
+        minimum_round=0, witness=(1.0, 0.0), witness_exact=(1, 0))
+
+
 def _evaluate_loop(sym, xi):
     """Scalar evaluation, one covector at a time: the reference for evaluate_many."""
     out = np.zeros(sym.shape, dtype=complex)

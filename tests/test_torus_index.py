@@ -8,6 +8,7 @@ from scipy.linalg import block_diag
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spindex import spinors
 from spindex import torus_index as ti
 from spindex.torus_index import (AmbiguousKernelError, FluxBundleSpec,
                                  NonConvergenceError, build_torus_dirac,
@@ -252,6 +253,53 @@ def test_sector_basis_property(data):
     assert np.max(np.abs(s_sector - s_oracle)) <= 1e-12 * 2
 
 
+def _complex_oracle(*ops):
+    """(dim ker D+, dim ker D-, gap) from one complex dense eigh of gamma K
+    on the direct sum of the operators: D+ = 2 Q-[minus rows]."""
+    kernel = block_diag(*(op.wilson_kernel.toarray() for op in ops))
+    g = np.concatenate([op.grading for op in ops])
+    evals, evecs = np.linalg.eigh(g[:, None] * kernel)
+    dplus = 2.0 * evecs[np.ix_(g < 0, evals < 0)]
+    s = np.linalg.svd(dplus, compute_uv=False)
+    rank = int(np.sum(s >= ti.ZERO_THRESHOLD * s[0]))
+    return dplus.shape[1] - rank, dplus.shape[0] - rank, s[rank - 1]
+
+
+def _oracle_operators(n, d, gauge_seed):
+    op = build_torus_dirac(FluxBundleSpec(n, d))
+    if gauge_seed is not None:
+        op = gauge_transform(op, np.random.default_rng(gauge_seed).uniform(0, 2 * np.pi, (n, n)))
+    return op
+
+
+@pytest.mark.parametrize("n,d", [(5, -2), (5, 1), (7, 3), (7, 0), (6, 1), (8, 2)])
+@pytest.mark.parametrize("gauge_seed", [None, 7])
+def test_index_matches_complex_oracle(n, d, gauge_seed):
+    """The sector blocks against a complex eigh of gamma K.  Their sizes
+    are equal only at even N and d = 2 mod 4; odd N and odd d give blocks
+    of two or three sizes."""
+    op = _oracle_operators(n, d, gauge_seed)
+    sizes = np.bincount(op.sector_basis[1])
+    assert (len(set(sizes)) == 1) == (n % 2 == 0 and d % 4 == 2)
+    result = index(op)
+    ker_plus, ker_minus, gap = _complex_oracle(op)
+    assert (result.dim_ker_plus, result.dim_ker_minus, result.index) == (ker_plus, ker_minus, d)
+    assert abs(result.spectral_gap - gap) <= 1e-12 * 2
+
+
+@pytest.mark.parametrize("first,second", [((8, 2), (10, -1)), ((5, 1), (6, -3)),
+                                          ((10, 2), (8, 2))])
+@pytest.mark.parametrize("gauge_seed", [None, 3])
+def test_disjoint_union_index_matches_complex_oracle(first, second, gauge_seed):
+    """The union's sectors interleave (each operator lists its own in
+    order), so its blocks gather columns from both operators."""
+    a, b = (_oracle_operators(n, d, gauge_seed) for n, d in (first, second))
+    sectors = np.concatenate([a.sector_basis[1], b.sector_basis[1]])
+    assert np.any(np.diff(sectors) < 0)
+    ker_plus, ker_minus, _ = _complex_oracle(a, b)
+    assert disjoint_union_index(a, b) == ker_plus - ker_minus == first[1] + second[1]
+
+
 def test_overlap_refuses_complex_or_off_sector_blocks():
     op = build_torus_dirac(FluxBundleSpec(6, 1))
     basis, sectors = op.sector_basis
@@ -326,14 +374,60 @@ def test_gauge_transform_by_zero_phases_is_identity(n):
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_shift_operator_layout(n):
+    # site (x, y) is row x*N + y; the hop to x + 1 (y + 1) carries ux[x, y]
+    # (uy[x, y]), read off the assembled Wilson hops -r/2 u at r = 1
     rng = np.random.default_rng(n)
     ux, uy = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, n, n)))
-    t1, t2 = ti._shift_operators(ux, uy)
-    assert t1.nnz == t2.nnz == n * n
+    ahead_x, ahead_y = ti._neighbours(n)
+    assert len(ahead_x) == len(ahead_y) == n * n
+    assert set(ahead_x) == set(ahead_y) == set(range(n * n))
+    op = ti.LatticeOperator.__new__(ti.LatticeOperator)
+    op._assemble(FluxBundleSpec(n, 0), ux, uy)
+    v = n * n
     for x in range(n):
         for y in range(n):
-            assert t1[x * n + y, ((x + 1) % n) * n + y] == ux[x, y]
-            assert t2[x * n + y, x * n + (y + 1) % n] == uy[x, y]
+            s = x * n + y
+            assert ahead_x[s] == ((x + 1) % n) * n + y
+            assert ahead_y[s] == x * n + (y + 1) % n
+            for c in (0, v):
+                assert op.wilson_kernel[c + s, c + ahead_x[s]] == -0.5 * ux[x, y]
+                assert op.wilson_kernel[c + s, c + ahead_y[s]] == -0.5 * uy[x, y]
+
+
+def _kron_assembly(op):
+    """``matrix`` and ``wilson_kernel`` by the Kronecker formula, from the
+    link-weighted forward shifts t1, t2: central differences (t - t^*)/2
+    on the entries of gamma^1, gamma^2, and the Wilson term r/2 (4 - t1 -
+    t1^* - t2 - t2^*) on both spinor components."""
+    n, v = op.spec.lattice_size, op.spec.sites
+    r, m0 = op.spec.wilson_r, op.spec.wilson_mass
+    site = np.arange(v).reshape(n, n)
+    t1, t2 = (sp.csr_matrix((u.ravel(), (site.ravel(), np.roll(site, -1, axis=axis).ravel())),
+                            shape=(v, v)) for u, axis in ((op.ux, 0), (op.uy, 1)))
+    d1, d2 = ((t - t.conj().T) * 0.5 for t in (t1, t2))
+    g1, g2 = spinors.gamma_matrices(2)
+    matrix = sp.csr_matrix(sp.kron(sp.csr_matrix(g1), d1) + sp.kron(sp.csr_matrix(g2), d2))
+    wilson = 0.5 * r * (4.0 * sp.identity(v, dtype=complex)
+                        - t1 - t1.conj().T - t2 - t2.conj().T)
+    kernel = sp.csr_matrix(-1j * matrix + sp.kron(sp.identity(2, dtype=complex), wilson)
+                           - m0 * sp.identity(2 * v, dtype=complex))
+    return matrix, kernel
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 8])
+def test_assembly_matches_the_kron_formula(n):
+    rng = np.random.default_rng(20 + n)
+    spec = FluxBundleSpec(n, 2 - n, wilson_r=0.7, wilson_mass=1.3)
+    fresh = build_torus_dirac(spec)
+    copy = gauge_transform(fresh, rng.uniform(0, 2 * np.pi, (n, n)))
+    random = ti.LatticeOperator.__new__(ti.LatticeOperator)
+    random._assemble(spec, *np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, n, n))))
+    for op in (fresh, copy, random):
+        matrix, kernel = _kron_assembly(op)
+        for built, formula in ((op.matrix, matrix), (op.wilson_kernel, kernel)):
+            assert built.format == "csr" and built.shape == formula.shape
+            assert built.nnz == formula.nnz
+            assert (built != formula).nnz == 0
 
 
 def test_lattice_stability_small_sweep():
