@@ -2,18 +2,20 @@
 
 A uniform-flux U(1) gauge field (total flux 2*pi*d, one transition-twisted
 link column) twists the two-component Dirac operator on an N x N periodic
-lattice.  The assembled site-basis operator is the graded-odd hermitian
-central-difference Dirac matrix; because any such ultralocal chirality-graded
-operator carries doublers, the index pipeline runs through the overlap
-operator built from the Wilson kernel (central differences plus Wilson term,
-mass in (0, 2) and below 2r, where the first doubler modes cross zero).  Its modified grading splits the space into pieces whose
-dimensions differ by exactly the spectral asymmetry, so the chiral blocks are
-genuinely rectangular, mutually adjoint, and their kernel dimensions realize
-dim ker - dim coker with gap certificates.
+lattice.  Ultralocal chirality-graded operators carry doublers and cannot
+see the index, so the one assembled operator is the Wilson kernel K
+(central differences plus Wilson term, mass in (0, 2) and below 2r, where
+the first doubler modes cross zero), and the index is read from the overlap
+operator of H_W = gamma K.  Its modified grading splits the space into
+pieces whose dimensions differ by exactly the spectral asymmetry, so the
+chiral blocks are genuinely rectangular, mutually adjoint, and their kernel
+dimensions realize dim ker - dim coker with gap certificates.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Tuple
@@ -38,6 +40,14 @@ class NonConvergenceError(RuntimeError):
     pass
 
 
+def _require_finite(spec, *names: str) -> None:
+    """ValueError naming the first of the fields that is not finite."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FluxBundleSpec:
     """N x N torus lattice carrying a line bundle of Chern number d."""
@@ -48,6 +58,13 @@ class FluxBundleSpec:
     wilson_mass: float = 1.0
 
     def __post_init__(self):
+        for name in ("lattice_size", "flux"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
+        _require_finite(self, "wilson_r", "wilson_mass")
         n, d = self.lattice_size, self.flux
         if n < 4:
             raise ValueError("lattice size must be at least 4")
@@ -86,21 +103,19 @@ def flux_links(spec: FluxBundleSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class LatticeOperator:
-    """Discretized Dirac-type operator with flux data.
+    """The Wilson kernel of the flux-twisted Dirac operator, with its links.
 
-    ``matrix`` is the graded-odd hermitian central-difference Dirac matrix
-    (site-wise grading +1/-1 on the two spinor components, off-diagonal
-    blocks mutually adjoint).  The Wilson kernel used by the index pipeline
-    is kept alongside; the sector basis of H_W (``sector_basis``), the
-    overlap data (one real eigendecomposition per sector of H_W) and the
-    rectangular chiral blocks are computed on demand and cached.
+    ``wilson_kernel`` is K = -i D + r/2 (4 - hops) - m0, D the central
+    differences, and ``grading`` is +1/-1 site-wise on the two spinor
+    components; H_W = gamma K is hermitian.  The sector basis of H_W, the
+    overlap data and the rectangular chiral blocks are computed on demand
+    and cached.
 
-    Both matrices come from a five-point stencil, each in one CSR
-    construction from coordinate arrays: the hop from site s to its forward
-    neighbour along axis mu carries u_mu(s) and the hop back conj(u_mu(s)).
-    ``matrix`` puts +u/2 and -conj(u)/2 on the spinor entries of gamma^mu;
-    ``wilson_kernel`` = -i ``matrix`` + r/2 (4 - hops) - m0 adds -r/2 u and
-    -r/2 conj(u) on both spinor components and 2r - m0 on the diagonal.
+    K is one CSR construction from a five-point stencil: the hop from site
+    s to its forward neighbour along axis mu carries u_mu(s) and the hop
+    back conj(u_mu(s)).  -i D puts -i u/2 and +i conj(u)/2 on the spinor
+    entries of gamma^mu, the Wilson term -r/2 u and -r/2 conj(u) on both
+    spinor components, and the diagonal is 2r - m0.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -117,15 +132,14 @@ class LatticeOperator:
         hop_rows = np.stack([np.concatenate([site, a]) for a in ahead])
         hop_cols = np.stack([np.concatenate([a, site]) for a in ahead])
         links = np.stack([np.concatenate([u.ravel(), np.conj(u).ravel()]) for u in (ux, uy)])
-        # central differences: +u/2 forward, -conj(u)/2 back, on the spinor
-        # entries (a, b) of gamma^mu
+        # central differences -i D: -i u/2 forward, +i conj(u)/2 back, on
+        # the spinor entries (a, b) of gamma^mu
         half = 0.5 * links * np.repeat([1.0, -1.0], v)
         gammas = np.stack([_G1, _G2])
         mu, a, b = np.nonzero(gammas)
         rows = (a[:, None] * v + hop_rows[mu]).ravel()
         cols = (b[:, None] * v + hop_cols[mu]).ravel()
-        data = (gammas[mu, a, b][:, None] * half[mu]).ravel()
-        self.matrix = sp.csr_matrix((data, (rows, cols)), shape=(2 * v, 2 * v))
+        differences = -1j * (gammas[mu, a, b][:, None] * half[mu]).ravel()
         # chirality orientation: the second spinor component is S+, which
         # pairs the positive-flux bundle with holomorphic zero modes
         self.grading = np.concatenate([-np.ones(v), np.ones(v)])
@@ -137,7 +151,7 @@ class LatticeOperator:
         same_cols = (chiral + np.concatenate([hop_cols.ravel(), site])).ravel()
         same = np.concatenate([-0.5 * r * links.ravel(), np.full(v, 2.0 * r - m0)])
         self.wilson_kernel = sp.csr_matrix(
-            (np.concatenate([-1j * data, same, same]),
+            (np.concatenate([differences, same, same]),
              (np.concatenate([rows, same_rows]), np.concatenate([cols, same_cols]))),
             shape=(2 * v, 2 * v))
         self._overlap: Optional[_Overlap] = None
@@ -148,8 +162,8 @@ class LatticeOperator:
                 * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
 
     @cached_property
-    def sector_basis(self) -> Tuple[sp.csr_matrix, np.ndarray]:
-        """The unitary basis W of ``_sector_basis`` and each column's sector."""
+    def sector_basis(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """W, each column's sector and its minus flag (``_sector_basis``)."""
         return _sector_basis(self.ux, self.uy)
 
     def overlap(self) -> "_Overlap":
@@ -167,8 +181,8 @@ class LatticeOperator:
         return dplus, dplus.conj().T
 
     def export_triplets(self, stream) -> None:
-        """Coordinate text format: one line per entry 'row col re im'."""
-        coo = self.matrix.tocoo()
+        """The Wilson kernel as coordinate text, one line 'row col re im' per entry."""
+        coo = self.wilson_kernel.tocoo()
         for r, c, z in zip(coo.row, coo.col, coo.data):
             stream.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
 
@@ -239,10 +253,11 @@ def _symmetries(ux: np.ndarray, uy: np.ndarray):
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
-def _sector_basis(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Unitary basis W that splits H_W into four real symmetric blocks, and
-    the sector k of each column: the eigenspace lambda = i^k of the rotation
-    S of ``_symmetries``, on which T acts (T S T^-1 = S^-1 keeps it).
+def _sector_basis(ux: np.ndarray,
+                  uy: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Unitary basis W that splits H_W into four real symmetric blocks, the
+    sector k of each column (the eigenspace lambda = i^k of the rotation S
+    of ``_symmetries``, kept by T: T S T^-1 = S^-1) and its minus flag.
 
     An S-orbit of length L (1 on sites rho fixes, 2 or 4), with
     representative j and S^L e_j = mu e_j, gives one unit vector
@@ -253,11 +268,11 @@ def _sector_basis(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, np.nda
     T-fixed v gives sqrt(u) v, a pair v < v' gives (v + u v')/sqrt(2) and
     i (v - u v')/sqrt(2).  H_W is real symmetric in a T-invariant basis
     (Dyson, J. Math. Phys. 3 (1962) 1199) and block diagonal in sectors
-    because S commutes with it.  Every vector has one chirality; the
-    columns are ordered by sector, minus chirality first.  Links whose
-    orbits do not close (S^4 != 1) raise ValueError; links that keep S^4 = 1
-    but lack a symmetry give a W^* H_W W that is not real and block
-    diagonal, which _Overlap refuses.
+    because S commutes with it.  S and T keep the spinor component, so a
+    column has the chirality of its e_j; columns go by sector, minus first.
+    Links whose orbits do not close (S^4 != 1) raise ValueError; links that
+    keep S^4 = 1 but lack a symmetry give a W^* H_W W that is not real and
+    block diagonal, which _Overlap refuses.
     """
     (rot, rot_phase), (ref, ref_phase) = _symmetries(ux, uy)
     size = len(rot)
@@ -300,7 +315,7 @@ def _sector_basis(ux: np.ndarray, uy: np.ndarray) -> Tuple[sp.csr_matrix, np.nda
     cols = np.broadcast_to(rank, rows.shape)
     nonzero = data != 0
     basis = sp.csr_matrix((data[nonzero], (rows[nonzero], cols[nonzero])), shape=(size, size))
-    return basis, sector[order]
+    return basis, sector[order], rep[order] < size // 2
 
 
 def build_torus_dirac(spec: FluxBundleSpec) -> LatticeOperator:
@@ -339,7 +354,7 @@ def kernel_dimension(*blocks) -> KernelResult:
         raise ValueError("kernel_dimension expects a matrix")
     parts, implicit = [], 0
     for op in blocks:
-        a = np.asarray(op.toarray() if sp.issparse(op) else op)
+        a = np.asarray(op)
         a = a.astype(np.result_type(a, float), copy=False)     # real stays real
         if a.ndim != 2:
             raise ValueError("kernel_dimension expects a matrix")
@@ -377,15 +392,16 @@ class _Overlap:
     gamma, 4 Q+[plus rows] Q+[plus rows]^* on the plus rows and D+ D+^* on
     the minus rows.
 
-    The eigensolve is split and real: ``basis`` is the unitary sector basis
-    W of ``_sector_basis`` and ``sectors`` the sector of each column.  H_W
-    commutes with the lattice rotation S and with the antiunitary T, so
+    The eigensolve is split and real: ``basis``, ``sectors`` and ``minus``
+    are W, each column's sector and its minus flag from ``_sector_basis``.
+    H_W commutes with the lattice rotation S and with the antiunitary T, so
     W^* H_W W is real symmetric and block diagonal in the four eigenspaces
     of S; anything else is refused.  One real ``eigh`` per sector gives the
     real eigenvectors Q_r of that block, and D+ is block diagonal: its
     blocks ``dplus_blocks`` are 2 Q_r[minus rows] per sector, the rows being
     the W columns ``minus_columns``, and its singular values are the union
-    of theirs, as are those of Q+[plus rows].
+    of theirs, as are those of Q+[plus rows].  ``spectrum`` holds the
+    eigenvalues of H_W, the union over the sectors, in ascending order.
 
     W^* H_W W is one sparse product; its in-sector entries are scattered
     into one dense block per sector, a column's place in its block being
@@ -393,7 +409,7 @@ class _Overlap:
     any order (a disjoint union interleaves two operators' sectors)."""
 
     def __init__(self, kernel: sp.spmatrix, grading: np.ndarray,
-                 basis: sp.spmatrix, sectors: np.ndarray):
+                 basis: sp.spmatrix, sectors: np.ndarray, minus: np.ndarray):
         kernel = kernel.tocsr()
         h = sp.csr_matrix((kernel.data * np.repeat(grading, np.diff(kernel.indptr)),
                            kernel.indices, kernel.indptr), shape=kernel.shape)
@@ -417,7 +433,6 @@ class _Overlap:
         i, j, entries = h.row[keep], h.col[keep], h.data.real[keep]
         in_block = block_of[i]
         del h       # the complex product: not held through the eigensolves
-        minus = abs(basis).power(2).T @ grading < 0      # v^* gamma v per column
         evals, self.dplus_blocks, self._plus_blocks, minus_columns = [], [], [], []
         for b, cols in enumerate(np.split(order, ends[:-1])):
             block = np.zeros((len(cols), len(cols)))
@@ -430,7 +445,8 @@ class _Overlap:
             self._plus_blocks.append(q[np.ix_(~rows, ~negative)])
             minus_columns.append(cols[rows])
         self.minus_columns = np.concatenate(minus_columns)
-        evals = np.abs(np.concatenate(evals))
+        self.spectrum = np.sort(np.concatenate(evals))
+        evals = np.abs(self.spectrum)
         if np.min(evals) < ZERO_THRESHOLD * max(float(np.max(evals)), 1e-300):
             raise AmbiguousKernelError(
                 "Wilson kernel has a near-zero mode; the sign function is "
@@ -505,11 +521,11 @@ def index(op: LatticeOperator) -> IndexResult:
 
 def disjoint_union_index(a: LatticeOperator, b: LatticeOperator) -> int:
     """Index over the block direct sum of two lattice operators."""
-    (basis_a, sectors_a), (basis_b, sectors_b) = a.sector_basis, b.sector_basis
+    (basis_a, *flags_a), (basis_b, *flags_b) = a.sector_basis, b.sector_basis
     ker_plus, ker_minus = _Overlap(sp.block_diag((a.wilson_kernel, b.wilson_kernel)),
                                    np.concatenate([a.grading, b.grading]),
                                    sp.block_diag((basis_a, basis_b), format="csr"),
-                                   np.concatenate([sectors_a, sectors_b])).kernels
+                                   *map(np.concatenate, zip(flags_a, flags_b))).kernels
     return ker_plus.dimension - ker_minus.dimension
 
 
@@ -541,6 +557,7 @@ class FamilySpec:
     builder: Callable[[float], np.ndarray]
 
     def __post_init__(self):
+        _require_finite(self, "t_start", "t_end")
         if self.t_end == self.t_start:
             raise ValueError("parameter interval is degenerate")
 

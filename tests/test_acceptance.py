@@ -67,5 +67,5 @@ def test_spectral_flow():
 
 
 def test_gauge_invariance():
-    # 20 seeded gauge conjugations; singular values within 1e-10, index fixed
+    # 20 seeded gauge conjugations; H_W spectra within 1e-10, index == flux on both
     _check(acceptance.gauge_invariance)

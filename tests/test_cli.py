@@ -104,6 +104,19 @@ def test_index_torus_refuses_mass_past_the_first_doubler(capsys):
     assert code == 2 and out == "" and "2r" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_index_torus_refuses_non_finite_wilson_r(capsys, monkeypatch, value):
+    # refused by validation, before any assembly
+    monkeypatch.setattr(cli.torus_index, "build_torus_dirac", None)
+    code, out, err = run(capsys, "index-torus", "--N", "8", "--d", "2", "--r", value)
+    assert code == 2 and out == "" and f"wilson_r must be finite, got {value}" in err
+
+
+def test_spectral_flow_refuses_non_finite_endpoint(capsys):
+    code, out, err = run(capsys, "spectral-flow", "--t0", "nan", "--t1", "1.5")
+    assert code == 2 and out == "" and "t_start must be finite" in err
+
+
 def test_spectral_flow_cli(capsys):
     code, out, _ = run(capsys, "spectral-flow", "--family", "shift",
                        "--t0", "0.001", "--t1", "1.001")

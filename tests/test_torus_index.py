@@ -29,6 +29,17 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="2r"):
         FluxBundleSpec(8, 0, wilson_r=0.5, wilson_mass=1.0)
     FluxBundleSpec(8, 0, wilson_r=0.5, wilson_mass=0.999)
+    FluxBundleSpec(np.int64(8), np.int64(2))        # numpy integers are integers
+
+
+@pytest.mark.parametrize("args,kwargs,name", [
+    ((8, 2), {"wilson_r": math.nan}, "wilson_r"), ((8, 2), {"wilson_r": math.inf}, "wilson_r"),
+    ((8, 2), {"wilson_mass": math.nan}, "wilson_mass"), ((8, 1.5), {}, "flux"),
+    ((8.0, 2), {}, "lattice_size"), ((np.float64(8), 2), {}, "lattice_size")])
+def test_spec_refuses_non_finite_and_non_integral_fields(args, kwargs, name):
+    # a nan or infinite r passed every comparison and failed inside LAPACK
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        FluxBundleSpec(*args, **kwargs)
 
 
 @pytest.mark.parametrize("r,mass", [(0.5, 1.2), (0.5, 1.5), (0.5, 1.7), (0.5, 1.95),
@@ -44,7 +55,7 @@ def test_specs_past_the_first_doubler_crossing_are_refused(r, mass):
 
 def test_matrix_size_and_plaquettes():
     op = build_torus_dirac(FluxBundleSpec(8, 3))
-    assert op.matrix.shape == (128, 128)
+    assert op.wilson_kernel.shape == (128, 128)
     phases = op.plaquette_phases()
     assert np.allclose(phases, phases[0, 0])
     assert np.isclose(phases[0, 0] ** 64, 1.0)      # total flux integral
@@ -54,21 +65,30 @@ def test_matrix_size_and_plaquettes():
 
 @pytest.mark.parametrize("n,d", [(8, 0), (8, 2), (10, -1)])
 def test_graded_odd_hermitian(n, d):
+    """i K is the graded-odd hermitian central-difference matrix on the
+    off-diagonal blocks (mutually adjoint) plus i times the Wilson term,
+    hermitian and the same on both diagonal blocks; H_W = gamma K is
+    hermitian."""
     op = build_torus_dirac(FluxBundleSpec(n, d))
-    m = op.matrix.toarray()
-    assert np.allclose(m, m.conj().T)
+    k = op.wilson_kernel.toarray()
     g = op.grading
-    assert np.allclose(g[:, None] * m + m * g[None, :], 0.0)
+    assert np.allclose(g[:, None] * k, (g[:, None] * k).conj().T)
     v = n * n
-    dplus_naive = m[v:, :v]
-    dminus_naive = m[:v, v:]
+    assert np.all(g[:v] < 0) and np.all(g[v:] > 0)
+    dplus_naive = 1j * k[v:, :v]
+    dminus_naive = 1j * k[:v, v:]
     assert np.allclose(dminus_naive, dplus_naive.conj().T)
+    assert np.array_equal(k[:v, :v], k[v:, v:])
+    assert np.allclose(k[:v, :v], k[:v, :v].conj().T)
 
 
 def test_symmetric_spectrum_and_zero_index_flat():
+    # the H_W spectrum is symmetric only without flux: V + d eigenvalues
+    # are negative
     op = build_torus_dirac(FluxBundleSpec(8, 0))
-    evals = np.linalg.eigvalsh(op.matrix.toarray())
-    assert np.allclose(np.sort(evals), np.sort(-evals))
+    spectrum = op.overlap().spectrum
+    assert np.allclose(spectrum, -spectrum[::-1])
+    assert np.sum(build_torus_dirac(FluxBundleSpec(8, 2)).overlap().spectrum < 0) == 66
     result = index(op)
     assert result.index == 0
     assert result.dim_ker_plus == result.dim_ker_minus == 1
@@ -79,6 +99,9 @@ def test_kernel_dimension_basics():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(25, 25)) + 5 * np.eye(25)
     assert kernel_dimension(a).dimension == 0
+    for not_a_matrix in (np.zeros(3), sp.csr_matrix(np.eye(3))):
+        with pytest.raises(ValueError, match="expects a matrix"):
+            kernel_dimension(not_a_matrix)
 
 
 def test_kernel_dimension_rectangular_counts_shape_deficit():
@@ -202,7 +225,8 @@ def test_sector_basis_property(data):
     """S^4 = 1, S commutes with gamma and H_W, T S T^-1 = S^-1; W is unitary,
     W^* H_W W is real and block diagonal by sector, and the sector D+ blocks
     have the singular values of 2 Q-[minus rows] from a complex eigh of H_W,
-    for fresh operators (odd N included), gauge copies and disjoint unions."""
+    and each column's chirality flag is v^* gamma v < 0, for fresh operators
+    (odd N included), gauge copies and disjoint unions."""
     ops = []
     for _ in range(data.draw(st.integers(1, 2))):
         n = data.draw(st.integers(4, 10))
@@ -228,7 +252,9 @@ def test_sector_basis_property(data):
     g = np.concatenate([op.grading for op in ops])
     basis = sp.block_diag([op.sector_basis[0] for op in ops]).toarray()
     sectors = np.concatenate([op.sector_basis[1] for op in ops])
+    minus = np.concatenate([op.sector_basis[2] for op in ops])
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(g)))) <= 1e-12
+    assert np.array_equal(minus, g @ np.abs(basis) ** 2 < 0)      # v^* gamma v per column
     h = (sp.diags(g) @ kernel).toarray()
     split = basis.conj().T @ h @ basis
     scale = np.max(np.abs(h))
@@ -236,7 +262,7 @@ def test_sector_basis_property(data):
     assert np.max(np.abs(split[sectors[:, None] != sectors[None, :]])) <= 1e-12 * scale
 
     try:
-        ov = ti._Overlap(kernel, g, sp.csr_matrix(basis), sectors)
+        ov = ti._Overlap(kernel, g, sp.csr_matrix(basis), sectors, minus)
     except AmbiguousKernelError:
         assume(False)
     minus = g < 0
@@ -302,12 +328,12 @@ def test_disjoint_union_index_matches_complex_oracle(first, second, gauge_seed):
 
 def test_overlap_refuses_complex_or_off_sector_blocks():
     op = build_torus_dirac(FluxBundleSpec(6, 1))
-    basis, sectors = op.sector_basis
+    basis, sectors, minus = op.sector_basis
     phases = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, len(sectors)))
     with pytest.raises(ValueError, match="symmetry"):
-        ti._Overlap(op.wilson_kernel, op.grading, basis @ sp.diags(phases), sectors)
+        ti._Overlap(op.wilson_kernel, op.grading, basis @ sp.diags(phases), sectors, minus)
     with pytest.raises(ValueError, match="symmetry"):
-        ti._Overlap(op.wilson_kernel, op.grading, basis, np.roll(sectors, 1))
+        ti._Overlap(op.wilson_kernel, op.grading, basis, np.roll(sectors, 1), minus)
 
 
 def test_links_without_the_symmetry_are_refused():
@@ -357,18 +383,24 @@ def test_gauge_invariance_single_trial():
     op = build_torus_dirac(FluxBundleSpec(10, 2))
     phases = rng.uniform(0, 2 * np.pi, size=(10, 10))
     moved = gauge_transform(op, phases)
-    s0 = np.linalg.svd(op.matrix.toarray(), compute_uv=False)
-    s1 = np.linalg.svd(moved.matrix.toarray(), compute_uv=False)
-    assert np.max(np.abs(s0 - s1)) < 1e-10
+    assert np.max(np.abs(op.overlap().spectrum - moved.overlap().spectrum)) < 1e-10
     assert np.allclose(moved.plaquette_phases(), op.plaquette_phases())
-    assert index(moved).index == 2
+    assert index(op).index == index(moved).index == 2
+
+
+@pytest.mark.parametrize("n,d", [(5, -2), (7, 3), (8, 1), (10, -3)])
+def test_hw_spectrum_is_gauge_covariant(n, d):
+    # odd N has sites that the rotation fixes, so its sector basis differs
+    op = build_torus_dirac(FluxBundleSpec(n, d))
+    moved = gauge_transform(op, np.random.default_rng(n).uniform(0, 2 * np.pi, (n, n)))
+    assert not np.allclose(moved.wilson_kernel.toarray(), op.wilson_kernel.toarray())
+    assert np.max(np.abs(op.overlap().spectrum - moved.overlap().spectrum)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_gauge_transform_by_zero_phases_is_identity(n):
     op = build_torus_dirac(FluxBundleSpec(n, 1))
     same = gauge_transform(op, np.zeros((n, n)))
-    assert np.array_equal(same.matrix.toarray(), op.matrix.toarray())
     assert np.array_equal(same.wilson_kernel.toarray(), op.wilson_kernel.toarray())
 
 
@@ -395,7 +427,7 @@ def test_shift_operator_layout(n):
 
 
 def _kron_assembly(op):
-    """``matrix`` and ``wilson_kernel`` by the Kronecker formula, from the
+    """``wilson_kernel`` by the Kronecker formula, from the
     link-weighted forward shifts t1, t2: central differences (t - t^*)/2
     on the entries of gamma^1, gamma^2, and the Wilson term r/2 (4 - t1 -
     t1^* - t2 - t2^*) on both spinor components."""
@@ -409,9 +441,8 @@ def _kron_assembly(op):
     matrix = sp.csr_matrix(sp.kron(sp.csr_matrix(g1), d1) + sp.kron(sp.csr_matrix(g2), d2))
     wilson = 0.5 * r * (4.0 * sp.identity(v, dtype=complex)
                         - t1 - t1.conj().T - t2 - t2.conj().T)
-    kernel = sp.csr_matrix(-1j * matrix + sp.kron(sp.identity(2, dtype=complex), wilson)
-                           - m0 * sp.identity(2 * v, dtype=complex))
-    return matrix, kernel
+    return sp.csr_matrix(-1j * matrix + sp.kron(sp.identity(2, dtype=complex), wilson)
+                         - m0 * sp.identity(2 * v, dtype=complex))
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 8])
@@ -423,11 +454,10 @@ def test_assembly_matches_the_kron_formula(n):
     random = ti.LatticeOperator.__new__(ti.LatticeOperator)
     random._assemble(spec, *np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, n, n))))
     for op in (fresh, copy, random):
-        matrix, kernel = _kron_assembly(op)
-        for built, formula in ((op.matrix, matrix), (op.wilson_kernel, kernel)):
-            assert built.format == "csr" and built.shape == formula.shape
-            assert built.nnz == formula.nnz
-            assert (built != formula).nnz == 0
+        built, formula = op.wilson_kernel, _kron_assembly(op)
+        assert built.format == "csr" and built.shape == formula.shape
+        assert built.nnz == formula.nnz
+        assert (built != formula).nnz == 0
 
 
 def test_lattice_stability_small_sweep():
@@ -447,13 +477,17 @@ def test_index_result_json_schema():
 
 
 def test_export_triplets():
-    op = build_torus_dirac(FluxBundleSpec(8, 0))
-    buf = io.StringIO()
-    op.export_triplets(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == op.matrix.nnz
-    row, col, re, im = lines[0].split()
-    int(row), int(col), float(re), float(im)
+    # %.17g is exact for float64: the triplets read back to the Wilson kernel
+    for spec in (FluxBundleSpec(8, 0), FluxBundleSpec(7, -3, wilson_r=0.7, wilson_mass=1.3)):
+        op = build_torus_dirac(spec)
+        buf = io.StringIO()
+        op.export_triplets(buf)
+        assert len(buf.getvalue().splitlines()) == op.wilson_kernel.nnz
+        row, col, re, im = np.loadtxt(io.StringIO(buf.getvalue()), unpack=True)
+        read = sp.csr_matrix((re + 1j * im, (row.astype(int), col.astype(int))),
+                             shape=op.wilson_kernel.shape)
+        assert read.nnz == op.wilson_kernel.nnz
+        assert (read != op.wilson_kernel).nnz == 0
 
 
 # -- spectral flow -----------------------------------------------------------------
@@ -499,6 +533,14 @@ def test_constant_family_flows_zero():
 def test_endpoint_zero_eigenvalue_rejected():
     with pytest.raises(NonConvergenceError):
         spectral_flow(shift_family(0.0, 1.0))
+
+
+@pytest.mark.parametrize("t0,t1,name", [(math.nan, 1.5, "t_start"),
+                                         (0.5, math.inf, "t_end"), (-math.inf, 0.5, "t_start")])
+def test_family_refuses_non_finite_endpoints(t0, t1, name):
+    # a nan endpoint failed inside LAPACK ("Eigenvalues did not converge")
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        shift_family(t0, t1)
 
 
 def test_family_requires_hermitian():
