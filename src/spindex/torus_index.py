@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Callable, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import spinors
 
@@ -105,17 +104,19 @@ def flux_links(spec: FluxBundleSpec) -> Tuple[np.ndarray, np.ndarray]:
 class LatticeOperator:
     """The Wilson kernel of the flux-twisted Dirac operator, with its links.
 
-    ``wilson_kernel`` is K = -i D + r/2 (4 - hops) - m0, D the central
-    differences, and ``grading`` is +1/-1 site-wise on the two spinor
-    components; H_W = gamma K is hermitian.  The sector basis of H_W, the
-    overlap data and the rectangular chiral blocks are computed on demand
-    and cached.
+    K = -i D + r/2 (4 - hops) - m0, D the central differences, is held as
+    ``triplets`` (rows, cols, values) over the five-point stencil of
+    ``_geometry``; ``grading`` is +1/-1 site-wise on the two spinor
+    components, and H_W = gamma K is hermitian.  The hop from site s to
+    its forward neighbour along axis mu carries u_mu(s) and the hop back
+    conj(u_mu(s)).  -i D puts -i u/2 and +i conj(u)/2 on the spinor entries
+    of gamma^mu, the Wilson term -r/2 u and -r/2 conj(u) on both spinor
+    components, and the diagonal is 2r - m0.
 
-    K is one CSR construction from a five-point stencil: the hop from site
-    s to its forward neighbour along axis mu carries u_mu(s) and the hop
-    back conj(u_mu(s)).  -i D puts -i u/2 and +i conj(u)/2 on the spinor
-    entries of gamma^mu, the Wilson term -r/2 u and -r/2 conj(u) on both
-    spinor components, and the diagonal is 2r - m0.
+    ``sector_blocks`` builds the four real sector blocks of H_W straight
+    from the triplets; the overlap data is computed from them on demand and
+    cached.  The sparse ``wilson_kernel`` and sector basis ``sector_basis``
+    are built on demand, for export, the site-basis chiral blocks and tests.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -124,36 +125,23 @@ class LatticeOperator:
     def _assemble(self, spec: FluxBundleSpec, ux: np.ndarray, uy: np.ndarray) -> None:
         self.spec = spec
         self.ux, self.uy = ux, uy
+        geo = _geometry(spec.lattice_size)
         v = spec.sites
-        site = np.arange(v)
-        # the 4V directed hops, axis by axis: s -> s + mu carries u[s], the
-        # hop back conj(u[s]); shape (2 axes, 2V hops)
-        ahead = _neighbours(spec.lattice_size)
-        hop_rows = np.stack([np.concatenate([site, a]) for a in ahead])
-        hop_cols = np.stack([np.concatenate([a, site]) for a in ahead])
-        links = np.stack([np.concatenate([u.ravel(), np.conj(u).ravel()]) for u in (ux, uy)])
+        # the hop s -> s + mu carries u[s], the hop back conj(u[s]); one row
+        # of 2V hops per axis, in the order of the stencil
+        links = np.concatenate([ux.ravel(), np.conj(ux).ravel(),
+                                uy.ravel(), np.conj(uy).ravel()]).reshape(2, 2 * v)
         # central differences -i D: -i u/2 forward, +i conj(u)/2 back, on
-        # the spinor entries (a, b) of gamma^mu
-        half = 0.5 * links * np.repeat([1.0, -1.0], v)
-        gammas = np.stack([_G1, _G2])
-        mu, a, b = np.nonzero(gammas)
-        rows = (a[:, None] * v + hop_rows[mu]).ravel()
-        cols = (b[:, None] * v + hop_cols[mu]).ravel()
-        differences = -1j * (gammas[mu, a, b][:, None] * half[mu]).ravel()
+        # the spinor entries of gamma^mu
+        half = 0.5 * links * geo.hop_sign
+        differences = -1j * (geo.gamma_entries[:, None] * half[geo.gamma_axes]).ravel()
+        # Wilson term r/2 (4 - hops) - m0 on each spinor component
+        r, m0 = spec.wilson_r, spec.wilson_mass
+        same = np.concatenate([-0.5 * r * links.ravel(), np.full(v, 2.0 * r - m0)])
         # chirality orientation: the second spinor component is S+, which
         # pairs the positive-flux bundle with holomorphic zero modes
-        self.grading = np.concatenate([-np.ones(v), np.ones(v)])
-        # kernel -i D + W - m0 with the Wilson term W = r/2 (4 - hops): hops
-        # -r/2 u and -r/2 conj(u) and the diagonal 2r - m0 on each component
-        r, m0 = spec.wilson_r, spec.wilson_mass
-        chiral = np.arange(2)[:, None] * v
-        same_rows = (chiral + np.concatenate([hop_rows.ravel(), site])).ravel()
-        same_cols = (chiral + np.concatenate([hop_cols.ravel(), site])).ravel()
-        same = np.concatenate([-0.5 * r * links.ravel(), np.full(v, 2.0 * r - m0)])
-        self.wilson_kernel = sp.csr_matrix(
-            (np.concatenate([differences, same, same]),
-             (np.concatenate([rows, same_rows]), np.concatenate([cols, same_cols]))),
-            shape=(2 * v, 2 * v))
+        self.grading = geo.grading
+        self.triplets = (geo.rows, geo.cols, np.concatenate([differences, same, same]))
         self._overlap: Optional[_Overlap] = None
 
     def plaquette_phases(self) -> np.ndarray:
@@ -162,26 +150,104 @@ class LatticeOperator:
                 * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
 
     @cached_property
-    def sector_basis(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    def wilson_kernel(self):
+        """K as a CSR matrix."""
+        import scipy.sparse as sp
+        size = 2 * self.spec.sites
+        rows, cols, values = self.triplets
+        return sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+
+    @cached_property
+    def sector_basis(self):
         """W, each column's sector and its minus flag (``_sector_basis``)."""
         return _sector_basis(self.ux, self.uy)
 
+    def sector_blocks(self) -> Tuple[List[np.ndarray], List[int]]:
+        """The four real symmetric blocks W^* H_W W of H_W = gamma K, one per
+        sector of the rotation S, and the number of minus-chirality columns
+        of each, which come first (``_sector_columns``).
+
+        No sparse product.  The vector of the orbit of j in sector k has
+        the entry i^(-k m) c / sqrt(L_j) at the index b with S^m e_j = c e_b
+        (m < L_j), so each stencil entry (a, b) adds i^(k (m_a - m_b))
+        conj(c_a) H_W[a, b] c_b / sqrt(L_a L_b) to the entry (orbit of a,
+        orbit of b) of the complex sector-k matrix, in each sector that
+        both orbits admit.  The entries are first summed over their slots,
+        the (orbit of a, orbit of b, m_a - m_b mod 4) they share; the sum
+        runs over every entry, not over one representative row per orbit,
+        so that the rounding of the S phases (cumulative products of link
+        ratios) stays out of the blocks to first order, as in a product
+        W^* H_W W.  T's own/other combination of each column then carries
+        every slot term to at most four block entries, which are summed
+        into one dense block per sector.
+
+        H_W is checked on the stencil entries first: hermitian (each entry
+        against its transposed entry), commuting with S and with T (each
+        entry against its image), all within 1e-12 times the largest entry;
+        then each block is checked to be real."""
+        geo = _geometry(self.spec.lattice_size)
+        rows, cols, values = self.triplets
+        h = geo.row_grading * values
+        tolerance = 1e-12 * max(1.0, float(np.abs(h).max(initial=0.0)))
+        if np.abs(h - np.conj(h.take(geo.transpose))).max() > tolerance:
+            raise ValueError("hermitized Wilson kernel is not hermitian")
+        (_, rot_phase), (_, ref_phase) = _symmetries(self.ux, self.uy)
+        # S H S^-1 = H and U conj(H) U^* = H, read at the image of each entry
+        if np.abs(h.take(geo.rotate) - rot_phase.take(rows) * h
+                  * np.conj(rot_phase.take(cols))).max() > tolerance:
+            raise ValueError("links lack the rotation symmetry: H_W does not "
+                             "commute with S")
+        if np.abs(h.take(geo.reflect) - ref_phase.take(rows)
+                  * np.conj(h * ref_phase.take(cols))).max() > tolerance:
+            raise ValueError("links lack the reflection symmetry: H_W does not "
+                             "commute with T")
+        sc = _sector_columns(rot_phase, ref_phase, geo)
+        # conj(c_a) H_W[a, b] c_b on each entry, summed over its slot
+        terms = np.conj(sc.phase_at.take(rows)) * sc.phase_at.take(cols) * h
+        slots = (np.bincount(geo.entry_slot, terms.real)
+                 + 1j * np.bincount(geo.entry_slot, terms.imag))
+        # each slot's term in each sector that both of its orbits admit
+        i, j = sc.column.take(geo.slot_row_keys), sc.column.take(geo.slot_col_keys)
+        admitted = (i >= 0) & (j >= 0)
+        terms = (geo.slot_weights * slots).ravel()[admitted]
+        i, j = i[admitted], j[admitted]
+        # column k of a block is own[k] v_k + other[k] v_partner(k), so v_k
+        # enters the columns (k, partner(k)) with the weights (own[k],
+        # other[partner(k)]): the term (i, j) goes to four block entries
+        pair = np.stack([np.arange(len(sc.partner)), sc.partner])
+        weight = np.stack([sc.own, sc.other.take(sc.partner)])
+        spread = ((np.conj(weight.take(i, axis=1)) * terms)[:, None]
+                  * weight.take(j, axis=1)[None])
+        flat = (sc.flat_row.take(pair).take(i, axis=1)[:, None]
+                + sc.place.take(pair).take(j, axis=1)[None]).ravel()
+        sizes = np.bincount(sc.sector, minlength=4)
+        ends = np.cumsum(sizes ** 2)
+        real = np.bincount(flat, spread.real.ravel(), minlength=ends[-1])
+        imag = np.bincount(flat, spread.imag.ravel(), minlength=ends[-1])
+        if max(imag.max(), -imag.min()) > tolerance:
+            raise ValueError("links lack the rotation and reflection symmetry: H_W "
+                             "is not real in the sector basis")
+        blocks = [real[end - n * n:end].reshape(n, n) for n, end in zip(sizes, ends)]
+        return blocks, np.bincount(sc.sector[sc.minus], minlength=4).tolist()
+
     def overlap(self) -> "_Overlap":
         if self._overlap is None:
-            self._overlap = _Overlap(self.wilson_kernel, self.grading, *self.sector_basis)
+            self._overlap = _Overlap(*self.sector_blocks())
         return self._overlap
 
     def chiral_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
         """Rectangular mutually adjoint blocks (D+, D-) with D- = (D+)^*,
         in the site basis: the minus rows of W's minus columns times the
         block diagonal sector-basis D+."""
+        import scipy.sparse as sp
         ov = self.overlap()
-        basis = self.sector_basis[0][:self.spec.sites]
-        dplus = (basis[:, ov.minus_columns] @ sp.block_diag(ov.dplus_blocks)).toarray()
+        basis, _, minus = self.sector_basis
+        dplus = (basis[:self.spec.sites][:, minus] @ sp.block_diag(ov.dplus_blocks)).toarray()
         return dplus, dplus.conj().T
 
     def export_triplets(self, stream) -> None:
-        """The Wilson kernel as coordinate text, one line 'row col re im' per entry."""
+        """The Wilson kernel as coordinate text, one line 'row col re im' per
+        entry, in row order."""
         coo = self.wilson_kernel.tocoo()
         for r, c, z in zip(coo.row, coo.col, coo.data):
             stream.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
@@ -193,6 +259,121 @@ def _neighbours(n: int) -> Tuple[np.ndarray, np.ndarray]:
     hop from s carries ux[x, y] and uy[x, y]."""
     site = np.arange(n * n).reshape(n, n)
     return np.roll(site, -1, axis=0).ravel(), np.roll(site, -1, axis=1).ravel()
+
+
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
+class _Geometry(NamedTuple):
+    """What an N x N lattice fixes before any link is known, as read-only
+    arrays; ``_geometry`` caches one per N.
+
+    The stencil: ``rows`` and ``cols`` of the 18 N^2 entries of K (the -i D
+    entries on the four (axis, a, b) entries ``gamma_axes``,
+    ``gamma_entries`` of the two gammas, then the Wilson entries of each
+    spinor component), ``hop_sign`` (+1 forward, -1 back on the 2 N^2 hops
+    of an axis), the ``grading`` and ``row_grading``, its value on each
+    entry's row.  The entry permutations: ``transpose`` (the index of the
+    entry (col, row)), ``rotate`` and ``reflect`` (of (rot row, rot col)
+    and (ref row, ref col)).  The site-spinor maps ``rot`` and ``ref`` of
+    the rotation rho(x, y) = (-y, x) and the reflection R_x, and ``mirror``
+    = -x mod N.  The S-orbits: ``orbit_positions`` (row m is rot^m),
+    ``orbit_length``, ``orbit`` (each index's representative, the least
+    index of its orbit), ``step`` (the m with rot^m of its representative
+    equal to it), ``reps`` and ``rep_powers``, i^(k L) for each sector k
+    and representative of length L.  The slots of the sector matrices,
+    one per (orbit of row, orbit of col, step of row - step of col mod 4)
+    of the entries: ``entry_slot``, each entry's slot, and for each sector
+    k and slot (k major) ``slot_row_keys`` and ``slot_col_keys``, k 2N^2
+    plus the row's and plus the col's representative, and
+    ``slot_weights``, i^(k delta) / sqrt(L_row L_col), delta the step
+    difference."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    gamma_axes: np.ndarray
+    gamma_entries: np.ndarray
+    hop_sign: np.ndarray
+    grading: np.ndarray
+    row_grading: np.ndarray
+    transpose: np.ndarray
+    rotate: np.ndarray
+    reflect: np.ndarray
+    rot: np.ndarray
+    ref: np.ndarray
+    mirror: np.ndarray
+    orbit_positions: np.ndarray
+    orbit_length: np.ndarray
+    orbit: np.ndarray
+    step: np.ndarray
+    reps: np.ndarray
+    rep_powers: np.ndarray
+    entry_slot: np.ndarray
+    slot_row_keys: np.ndarray
+    slot_col_keys: np.ndarray
+    slot_weights: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _geometry(n: int) -> _Geometry:
+    """The ``_Geometry`` of an N x N lattice (at most MAX_DENSE_N - 3 of
+    them are ever built)."""
+    v, size = n * n, 2 * n * n
+    site = np.arange(v)
+    # the 4V directed hops, axis by axis: s -> s + mu, then the hops back;
+    # shape (2 axes, 2V hops)
+    ahead = _neighbours(n)
+    hop_rows = np.stack([np.concatenate([site, a]) for a in ahead])
+    hop_cols = np.stack([np.concatenate([a, site]) for a in ahead])
+    gammas = np.stack([_G1, _G2])
+    axes, a, b = np.nonzero(gammas)
+    chiral = np.arange(2)[:, None] * v
+    rows = np.concatenate([(a[:, None] * v + hop_rows[axes]).ravel(),
+                           (chiral + np.concatenate([hop_rows.ravel(), site])).ravel()])
+    cols = np.concatenate([(b[:, None] * v + hop_cols[axes]).ravel(),
+                           (chiral + np.concatenate([hop_cols.ravel(), site])).ravel()])
+    key = rows * size + cols
+    by_key = np.argsort(key)
+
+    def entry(r, c):
+        return by_key[np.searchsorted(key, r * size + c, sorter=by_key)]
+
+    xs = np.arange(n)
+    mirror = -xs % n
+    rotated = (mirror[None, :] * n + xs[:, None]).ravel()
+    reflected = (mirror[:, None] * n + xs[None, :]).ravel()
+    rot = np.concatenate([rotated, rotated + v])
+    ref = np.concatenate([reflected, reflected + v])
+    positions = [np.arange(size)]
+    for _ in range(4):
+        positions.append(rot[positions[-1]])
+    positions = np.array(positions)
+    length = np.argmax(positions[1:] == positions[0], axis=0) + 1
+    orbit = positions.min(axis=0)
+    reps = np.flatnonzero(orbit == positions[0])
+    step = np.empty(size, dtype=int)
+    for m in range(3, -1, -1):
+        step[positions[m, reps]] = m
+    grading = np.concatenate([-np.ones(v), np.ones(v)])
+    slot_keys, entry_slot = np.unique(
+        (orbit[rows] * size + orbit[cols]) * 4 + (step[rows] - step[cols]) % 4,
+        return_inverse=True)
+    (slot_rows, slot_cols), delta = divmod(slot_keys // 4, size), slot_keys % 4
+    sectors = np.arange(4)[:, None]
+    geo = _Geometry(
+        rows=rows, cols=cols, gamma_axes=axes, gamma_entries=gammas[axes, a, b],
+        hop_sign=np.repeat([1.0, -1.0], v), grading=grading, row_grading=grading[rows],
+        transpose=entry(cols, rows), rotate=entry(rot[rows], rot[cols]),
+        reflect=entry(ref[rows], ref[cols]), rot=rot, ref=ref, mirror=mirror,
+        orbit_positions=positions, orbit_length=length, orbit=orbit, step=step, reps=reps,
+        rep_powers=_POWERS_OF_I[:, None] ** length[reps],
+        entry_slot=entry_slot, slot_row_keys=(sectors * size + slot_rows).ravel(),
+        slot_col_keys=(sectors * size + slot_cols).ravel(),
+        slot_weights=_POWERS_OF_I[sectors * delta % 4]
+        / np.sqrt(length[slot_rows] * length[slot_cols]))
+    for array in geo:
+        array.flags.writeable = False
+    return geo
 
 
 def _gauge_phase(ux: np.ndarray, uy: np.ndarray,
@@ -208,18 +389,10 @@ def _gauge_phase(ux: np.ndarray, uy: np.ndarray,
             * np.concatenate([np.ones((n, 1)), along_y[:, :-1]], axis=1)).ravel()
 
 
-def _monomial(dest: np.ndarray, g: np.ndarray, spin: Tuple[complex, complex]):
-    """(perm, phase) of the map e_j -> phase[j] e_perm[j] that sends a site
-    s to dest[s], multiplies the two spinor components by ``spin`` and then
-    every site by g."""
-    v = len(dest)
-    perm = np.concatenate([dest, dest + v])
-    return perm, np.concatenate([spin[0] * g, spin[1] * g])[perm]
-
-
 def _symmetries(ux: np.ndarray, uy: np.ndarray):
     """The rotation S = G (diag(1, i) x rho) and the unitary part U of the
-    antiunitary T = U K = D (sigma3 x R_x) K, each as ``_monomial`` data.
+    antiunitary T = U K = D (sigma3 x R_x) K, each as (perm, phase): the
+    map e_j -> phase[j] e_perm[j], with perm ``_geometry``'s rot and ref.
 
     rho(x, y) = (-y, x) turns x-links into y-links and y-links into reversed
     x-links: uy'(rho s) = ux(s), ux'(rho s - x) = conj uy(s).  It keeps the
@@ -241,23 +414,44 @@ def _symmetries(ux: np.ndarray, uy: np.ndarray):
     rho^-1 and K diag(1, i) K = diag(1, i)^-1, T S T^-1 = S^-1.
     """
     n = ux.shape[0]
-    xs = np.arange(n)
-    mirror = -xs % n
-    rotated = (mirror[None, :] * n + xs[:, None]).ravel()
-    reflected = (mirror[:, None] * n + xs[None, :]).ravel()
-    g = _gauge_phase(ux, uy, np.conj(uy.T[(-xs - 1) % n]), ux.T[mirror])
-    d = _gauge_phase(ux, uy, ux[(-xs - 1) % n], np.conj(uy[mirror]))
-    return _monomial(rotated, g, (1, 1j)), _monomial(reflected, d, (1, -1))
+    geo = _geometry(n)
+    back = (-np.arange(n) - 1) % n
+    g = _gauge_phase(ux, uy, np.conj(uy.T[back]), ux.T[geo.mirror])
+    d = _gauge_phase(ux, uy, ux[back], np.conj(uy[geo.mirror]))
+    return ((geo.rot, np.concatenate([g, 1j * g])[geo.rot]),
+            (geo.ref, np.concatenate([d, -d])[geo.ref]))
 
 
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+class _SectorColumns(NamedTuple):
+    """The columns of the sector basis W, by sector and minus chirality
+    first (``_sector_columns``): ``sector``, representative ``rep``,
+    ``minus`` flag, T ``partner`` and the ``own``/``other`` weights of
+    column k = own[k] v_k + other[k] v_partner(k); ``column``[k, j] is
+    the column of the orbit of j in sector k, or -1; ``phases``[m] are the
+    S^m phases (S^m e_j = phases[m, j] e_(rot^m j)) and ``phase_at`` the
+    phase c of each index b in S^m e_orbit(b) = c e_b.  ``place`` is each
+    column's place in its block and ``flat_row`` the offset of its row in
+    the flat buffer of all four blocks."""
+
+    sector: np.ndarray
+    rep: np.ndarray
+    minus: np.ndarray
+    partner: np.ndarray
+    own: np.ndarray
+    other: np.ndarray
+    column: np.ndarray
+    phases: np.ndarray
+    phase_at: np.ndarray
+    place: np.ndarray
+    flat_row: np.ndarray
 
 
-def _sector_basis(ux: np.ndarray,
-                  uy: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Unitary basis W that splits H_W into four real symmetric blocks, the
-    sector k of each column (the eigenspace lambda = i^k of the rotation S
-    of ``_symmetries``, kept by T: T S T^-1 = S^-1) and its minus flag.
+def _sector_columns(rot_phase: np.ndarray, ref_phase: np.ndarray,
+                    geo: _Geometry) -> _SectorColumns:
+    """The unitary basis W that splits H_W into four real symmetric blocks,
+    as ``_SectorColumns``: each column's sector k (the eigenspace
+    lambda = i^k of the rotation S of ``_symmetries``, kept by T:
+    T S T^-1 = S^-1) and its minus flag.
 
     An S-orbit of length L (1 on sites rho fixes, 2 or 4), with
     representative j and S^L e_j = mu e_j, gives one unit vector
@@ -269,53 +463,60 @@ def _sector_basis(ux: np.ndarray,
     i (v - u v')/sqrt(2).  H_W is real symmetric in a T-invariant basis
     (Dyson, J. Math. Phys. 3 (1962) 1199) and block diagonal in sectors
     because S commutes with it.  S and T keep the spinor component, so a
-    column has the chirality of its e_j; columns go by sector, minus first.
-    Links whose orbits do not close (S^4 != 1) raise ValueError; links that
-    keep S^4 = 1 but lack a symmetry give a W^* H_W W that is not real and
-    block diagonal, which _Overlap refuses.
+    column has the chirality of its e_j; columns go by sector, then by
+    representative, which puts the minus ones first.  Links whose orbits
+    do not close (S^4 != 1) raise ValueError.
     """
-    (rot, rot_phase), (ref, ref_phase) = _symmetries(ux, uy)
-    size = len(rot)
-    idx = np.arange(size)
-    pos, coef = [idx], [np.ones(size, dtype=complex)]     # S^m e_j = coef[m] e_pos[m]
-    for _ in range(4):
-        coef.append(coef[-1] * rot_phase[pos[-1]])
-        pos.append(rot[pos[-1]])
-    pos, coef = np.array(pos), np.array(coef)
-    orbit_length = np.argmax(pos[1:] == idx, axis=0) + 1
-    orbit = pos.min(axis=0)
-    reps = np.flatnonzero(orbit == idx)
-    closing = coef[orbit_length[reps], reps]
-    sector, which = np.nonzero(
-        np.abs(_POWERS_OF_I[:, None] ** orbit_length[reps] - closing) < 1e-6)
-    rep = reps[which]                              # one column per (sector, orbit)
-    length = orbit_length[rep]
+    size = len(rot_phase)
+    phases = np.ones((5, size), dtype=complex)
+    phases[1:] = np.cumprod(rot_phase[geo.orbit_positions[:4]], axis=0)
+    closing = phases[geo.orbit_length[geo.reps], geo.reps]
+    sector, which = np.nonzero(np.abs(geo.rep_powers - closing) < 1e-6)
+    rep = geo.reps[which]                          # one column per (sector, orbit)
+    count = len(rep)
     column = np.full((4, size), -1)
-    column[sector, rep] = np.arange(len(rep))
-    partner = column[sector, orbit[ref[rep]]]
-    if len(rep) != size or np.any(partner < 0):
+    column[sector, rep] = np.arange(count)
+    mirrored = geo.ref[rep]
+    partner = column[sector, geo.orbit[mirrored]]
+    if count != size or np.any(partner < 0):
         raise ValueError("links lack the rotation symmetry: the orbits of S "
                          "do not close, no sector basis")
-    m = np.arange(4)[:, None]
-    rows = pos[:4, rep]
-    data = np.where(m < length, _POWERS_OF_I[(-sector * m) % 4] * coef[:4, rep], 0)
-    data /= np.sqrt(length)
-    # T v = u v': compare the two at the site of T e_j
-    at = np.argmax(rows[:, partner] == ref[rep], axis=0)
-    u = ref_phase[rep] / (np.sqrt(length) * data[at, partner])
+    phase_at = phases[geo.step, geo.orbit]
+    # T v = u v': compare the two at the index T e_j, where v is
+    # 1/sqrt(L) and v' is i^(-k m) phase_at / sqrt(L)
+    u = ref_phase[rep] * _POWERS_OF_I[(sector * geo.step[mirrored]) % 4] / phase_at[mirrored]
+    idx = np.arange(count)
     fixed, lo = partner == idx, idx < partner
     half = np.sqrt(0.5)
     own = np.where(fixed, np.sqrt(u), np.where(lo, half, -1j * half * u[partner]))
     other = np.where(fixed, 0, np.where(lo, half * u, 1j * half))
-    order = np.lexsort((rep >= size // 2, sector))
-    rank = np.empty(size, dtype=int)
-    rank[order] = idx
-    rows = np.concatenate([rows, rows[:, partner]])
-    data = np.concatenate([data * own, data[:, partner] * other])
-    cols = np.broadcast_to(rank, rows.shape)
+    sizes = np.bincount(sector, minlength=4)
+    place = idx - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    flat_row = np.repeat(np.cumsum(sizes ** 2) - sizes ** 2, sizes) + place * sizes[sector]
+    return _SectorColumns(sector, rep, rep < size // 2, partner, own, other, column,
+                          phases, phase_at, place, flat_row)
+
+
+def _sector_basis(ux: np.ndarray, uy: np.ndarray):
+    """The sparse unitary W of ``_sector_columns``, each column's sector
+    and its minus flag.  Links that keep S^4 = 1 but lack a symmetry give
+    a W^* H_W W that is not real and block diagonal."""
+    import scipy.sparse as sp
+    (_, rot_phase), (_, ref_phase) = _symmetries(ux, uy)
+    geo = _geometry(ux.shape[0])
+    sc = _sector_columns(rot_phase, ref_phase, geo)
+    size = len(sc.rep)
+    length = geo.orbit_length[sc.rep]
+    m = np.arange(4)[:, None]
+    rows = geo.orbit_positions[:4, sc.rep]
+    data = np.where(m < length, _POWERS_OF_I[(-sc.sector * m) % 4] * sc.phases[:4, sc.rep], 0)
+    data /= np.sqrt(length)
+    rows = np.concatenate([rows, rows[:, sc.partner]])
+    data = np.concatenate([data * sc.own, data[:, sc.partner] * sc.other])
+    cols = np.broadcast_to(np.arange(size), rows.shape)
     nonzero = data != 0
     basis = sp.csr_matrix((data[nonzero], (rows[nonzero], cols[nonzero])), shape=(size, size))
-    return basis, sector[order], rep[order] < size // 2
+    return basis, sc.sector, sc.minus
 
 
 def build_torus_dirac(spec: FluxBundleSpec) -> LatticeOperator:
@@ -392,59 +593,28 @@ class _Overlap:
     gamma, 4 Q+[plus rows] Q+[plus rows]^* on the plus rows and D+ D+^* on
     the minus rows.
 
-    The eigensolve is split and real: ``basis``, ``sectors`` and ``minus``
-    are W, each column's sector and its minus flag from ``_sector_basis``.
-    H_W commutes with the lattice rotation S and with the antiunitary T, so
-    W^* H_W W is real symmetric and block diagonal in the four eigenspaces
-    of S; anything else is refused.  One real ``eigh`` per sector gives the
-    real eigenvectors Q_r of that block, and D+ is block diagonal: its
-    blocks ``dplus_blocks`` are 2 Q_r[minus rows] per sector, the rows being
-    the W columns ``minus_columns``, and its singular values are the union
-    of theirs, as are those of Q+[plus rows].  ``spectrum`` holds the
-    eigenvalues of H_W, the union over the sectors, in ascending order.
+    The eigensolve is split and real: ``blocks`` are the real symmetric
+    sector blocks W^* H_W W of ``LatticeOperator.sector_blocks`` (H_W
+    commutes with the lattice rotation S and with the antiunitary T), and
+    ``minus`` the number of leading minus-chirality columns of each.  One
+    real ``eigh`` per block gives its real eigenvectors Q_r in ascending
+    order of eigenvalue, negative first, so D+ is block diagonal with the
+    blocks ``dplus_blocks`` = 2 Q_r[minus rows, negative columns], plain
+    slices, and its singular values are the union of theirs, as are those
+    of Q+[plus rows].  ``minus_rows`` is the number of rows of D+ and
+    ``spectrum`` holds the eigenvalues of H_W, the union over the blocks,
+    in ascending order.  The blocks may come from several operators (a
+    disjoint union)."""
 
-    W^* H_W W is one sparse product; its in-sector entries are scattered
-    into one dense block per sector, a column's place in its block being
-    its rank among the columns of its sector, so ``sectors`` may come in
-    any order (a disjoint union interleaves two operators' sectors)."""
-
-    def __init__(self, kernel: sp.spmatrix, grading: np.ndarray,
-                 basis: sp.spmatrix, sectors: np.ndarray, minus: np.ndarray):
-        kernel = kernel.tocsr()
-        h = sp.csr_matrix((kernel.data * np.repeat(grading, np.diff(kernel.indptr)),
-                           kernel.indices, kernel.indptr), shape=kernel.shape)
-        scale = max(1.0, np.abs(h.data).max(initial=0.0))
-        if abs(h - h.conj().T).max() > 1e-12 * scale:
-            raise ValueError("hermitized Wilson kernel is not hermitian")
-        h = (basis.conj().T @ h @ basis).tocoo()
-        split = sectors[h.row] != sectors[h.col]
-        if max(np.abs(h.data.imag).max(initial=0.0),
-               np.abs(h.data[split]).max(initial=0.0)) > 1e-12 * scale:
-            raise ValueError("links lack the rotation and reflection symmetry: H_W "
-                             "is not real and block diagonal in the sector basis")
-        # scatter each sector's entries into a dense block, a column's place
-        # in its block being its rank among the columns of its sector
-        _, block_of, sizes = np.unique(sectors, return_inverse=True, return_counts=True)
-        order = np.argsort(sectors, kind="stable")
-        ends = np.cumsum(sizes)
-        place = np.empty_like(order)
-        place[order] = np.arange(len(order)) - np.repeat(ends - sizes, sizes)
-        keep = ~split
-        i, j, entries = h.row[keep], h.col[keep], h.data.real[keep]
-        in_block = block_of[i]
-        del h       # the complex product: not held through the eigensolves
-        evals, self.dplus_blocks, self._plus_blocks, minus_columns = [], [], [], []
-        for b, cols in enumerate(np.split(order, ends[:-1])):
-            block = np.zeros((len(cols), len(cols)))
-            here = in_block == b
-            block[place[i[here]], place[j[here]]] = entries[here]
+    def __init__(self, blocks: Sequence[np.ndarray], minus: Sequence[int]):
+        evals, self.dplus_blocks, self._plus_blocks = [], [], []
+        for block, rows in zip(blocks, minus):
             e, q = np.linalg.eigh(block)
-            rows, negative = minus[cols], e < 0
+            negative = int(np.searchsorted(e, 0.0))
             evals.append(e)
-            self.dplus_blocks.append(2.0 * q[np.ix_(rows, negative)])
-            self._plus_blocks.append(q[np.ix_(~rows, ~negative)])
-            minus_columns.append(cols[rows])
-        self.minus_columns = np.concatenate(minus_columns)
+            self.dplus_blocks.append(2.0 * q[:rows, :negative])
+            self._plus_blocks.append(q[rows:, negative:].copy())
+        self.minus_rows = int(sum(minus))
         self.spectrum = np.sort(np.concatenate(evals))
         evals = np.abs(self.spectrum)
         if np.min(evals) < ZERO_THRESHOLD * max(float(np.max(evals)), 1e-300):
@@ -468,7 +638,7 @@ class _Overlap:
         minus = self.kernels[0].singular_values ** 2
         thr = ZERO_THRESHOLD * max(plus.max(initial=0.0), minus.max(initial=0.0), 1e-300)
         return (sum(b.shape[0] for b in self._plus_blocks) - int(np.sum(plus >= thr)),
-                len(self.minus_columns) - int(np.sum(minus >= thr)))
+                self.minus_rows - int(np.sum(minus >= thr)))
 
 
 @dataclass(frozen=True)
@@ -495,8 +665,8 @@ def index(op: LatticeOperator) -> IndexResult:
     """dim ker D+ - dim ker D- from one eigendecomposition of H_W (_Overlap):
     D+ = 2 Q-[minus rows], D- = (D+)^* has its singular values, and D^*D is
     block diagonal in gamma.  The eigensolve is split into four real
-    symmetric ones (_sector_basis).  The flux links have equal holonomies
-    along both axes, so the 90 degree lattice rotation with a spin rotation
+    symmetric ones (LatticeOperator.sector_blocks).  The flux links have
+    equal holonomies along both axes, so the 90 degree lattice rotation with a spin rotation
     and a gauge phase, S, commutes with H_W, and the four eigenspaces of S
     (S^4 = 1) split it.  Charge conjugation and the reflection x -> -x
     together keep the flux and the holonomies, so the antiunitary T = D
@@ -520,12 +690,10 @@ def index(op: LatticeOperator) -> IndexResult:
 
 
 def disjoint_union_index(a: LatticeOperator, b: LatticeOperator) -> int:
-    """Index over the block direct sum of two lattice operators."""
-    (basis_a, *flags_a), (basis_b, *flags_b) = a.sector_basis, b.sector_basis
-    ker_plus, ker_minus = _Overlap(sp.block_diag((a.wilson_kernel, b.wilson_kernel)),
-                                   np.concatenate([a.grading, b.grading]),
-                                   sp.block_diag((basis_a, basis_b), format="csr"),
-                                   *map(np.concatenate, zip(flags_a, flags_b))).kernels
+    """Index over the block direct sum of two lattice operators: one
+    overlap over both operators' sector blocks."""
+    (blocks_a, minus_a), (blocks_b, minus_b) = a.sector_blocks(), b.sector_blocks()
+    ker_plus, ker_minus = _Overlap(blocks_a + blocks_b, minus_a + minus_b).kernels
     return ker_plus.dimension - ker_minus.dimension
 
 
@@ -568,11 +736,18 @@ def spectral_flow(fam: FamilySpec) -> int:
     ends (Atiyah-Patodi-Singer III, 1976; Phillips, Canad. Math. Bull. 39
     (1996) 460), so one eigensolve per endpoint gives it.  An endpoint
     eigenvalue within ENDPOINT_TOL (relative) of zero raises
-    NonConvergenceError.
+    NonConvergenceError; an endpoint matrix that is not square, not finite
+    or not self-adjoint raises ValueError.
     """
     negatives = []
     for t in (fam.t_start, fam.t_end):
         m = np.asarray(fam.builder(t), dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"family operator at endpoint t = {t} is not a square "
+                             f"matrix (shape {m.shape})")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"family operator at endpoint t = {t} has entries that "
+                             "are not finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError("family operators must be self-adjoint")
         evals = np.linalg.eigvalsh(m)

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,7 +230,8 @@ def test_sector_basis_property(data):
     W^* H_W W is real and block diagonal by sector, and the sector D+ blocks
     have the singular values of 2 Q-[minus rows] from a complex eigh of H_W,
     and each column's chirality flag is v^* gamma v < 0, for fresh operators
-    (odd N included), gauge copies and disjoint unions."""
+    (odd N included), gauge copies and disjoint unions (one overlap over
+    both operators' blocks)."""
     ops = []
     for _ in range(data.draw(st.integers(1, 2))):
         n = data.draw(st.integers(4, 10))
@@ -261,15 +266,19 @@ def test_sector_basis_property(data):
     assert np.max(np.abs(split.imag)) <= 1e-12 * scale
     assert np.max(np.abs(split[sectors[:, None] != sectors[None, :]])) <= 1e-12 * scale
 
+    blocks, minus_rows = [], []
+    for op in ops:
+        op_blocks, op_minus = op.sector_blocks()
+        blocks += op_blocks
+        minus_rows += op_minus
     try:
-        ov = ti._Overlap(kernel, g, sp.csr_matrix(basis), sectors, minus)
+        ov = ti._Overlap(blocks, minus_rows)
     except AmbiguousKernelError:
         assume(False)
-    minus = g < 0
     evals, evecs = np.linalg.eigh(h)
-    oracle = 2.0 * evecs[np.ix_(minus, evals < 0)]
+    oracle = 2.0 * evecs[np.ix_(g < 0, evals < 0)]
     s_oracle = np.linalg.svd(oracle, compute_uv=False)
-    dplus = basis[np.ix_(minus, ov.minus_columns)] @ block_diag(*ov.dplus_blocks)
+    dplus = basis[np.ix_(g < 0, np.flatnonzero(minus))] @ block_diag(*ov.dplus_blocks)
     assert dplus.shape == oracle.shape
     s_site = np.linalg.svd(dplus, compute_uv=False)
     s_sector = np.zeros(len(s_oracle))                  # padded with the implicit zeros
@@ -317,8 +326,8 @@ def test_index_matches_complex_oracle(n, d, gauge_seed):
                                           ((10, 2), (8, 2))])
 @pytest.mark.parametrize("gauge_seed", [None, 3])
 def test_disjoint_union_index_matches_complex_oracle(first, second, gauge_seed):
-    """The union's sectors interleave (each operator lists its own in
-    order), so its blocks gather columns from both operators."""
+    """The union's sectors interleave in W (each operator lists its own in
+    order); its overlap takes each operator's four blocks."""
     a, b = (_oracle_operators(n, d, gauge_seed) for n, d in (first, second))
     sectors = np.concatenate([a.sector_basis[1], b.sector_basis[1]])
     assert np.any(np.diff(sectors) < 0)
@@ -326,14 +335,128 @@ def test_disjoint_union_index_matches_complex_oracle(first, second, gauge_seed):
     assert disjoint_union_index(a, b) == ker_plus - ker_minus == first[1] + second[1]
 
 
-def test_overlap_refuses_complex_or_off_sector_blocks():
-    op = build_torus_dirac(FluxBundleSpec(6, 1))
+def _rotated_links(ux, uy):
+    """The links carried by rho(x, y) = (-y, x): an x-link at s becomes the
+    y-link at rho s and a y-link at s the x-link at rho s - x, reversed."""
+    n = ux.shape[0]
+    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ux2, uy2 = np.empty_like(ux), np.empty_like(uy)
+    uy2[-y % n, x] = ux
+    ux2[(-y - 1) % n, x] = np.conj(uy)
+    return ux2, uy2
+
+
+def _operator_on(spec, ux, uy):
+    op = ti.LatticeOperator.__new__(ti.LatticeOperator)
+    op._assemble(spec, ux, uy)
+    return op
+
+
+def test_overlap_refuses_complex_or_off_sector_blocks(monkeypatch):
+    """Each check of the block builder refuses: links without the rotation
+    S (a flat x-twist, which T keeps), links with S but without T (the
+    flux links times a rotation-invariant, reflection-odd pinwheel of four
+    link phases; no flat twist does this, because a flat twist that keeps
+    S has real and equal holonomies, which T keeps), a stencil entry that
+    is not hermitian, and sector columns with random phases, whose blocks
+    are complex."""
+    spec = FluxBundleSpec(6, 1)
+    ux, uy = ti.flux_links(spec)
+    with pytest.raises(ValueError, match="rotation symmetry: H_W does not commute with S"):
+        _operator_on(spec, ux * np.exp(0.3j / 6), uy).overlap()
+    with pytest.raises(ValueError, match="symmetry"):
+        _operator_on(spec, ux * np.exp(0.3j / 6), uy * np.exp(0.3j / 6)).overlap()
+
+    px, py = np.ones((2, 6, 6), dtype=complex)
+    px[1, 2] = np.exp(0.4j)
+    pinwheel = [px, py]
+    for _ in range(3):
+        px, py = _rotated_links(px, py)
+        pinwheel = [pinwheel[0] * px, pinwheel[1] * py]
+    assert all(np.allclose(a, b) for a, b in zip(_rotated_links(*pinwheel), pinwheel))
+    with pytest.raises(ValueError, match="reflection symmetry: H_W does not commute with T"):
+        _operator_on(spec, ux * pinwheel[0], uy * pinwheel[1]).overlap()
+
+    op = build_torus_dirac(spec)
+    rows, cols, values = op.triplets
+    values[np.flatnonzero(rows != cols)[5]] += 1e-9
+    with pytest.raises(ValueError, match="hermitian"):
+        op.overlap()
+
+    columns = ti._sector_columns
+
+    def with_phases(*args):
+        sc = columns(*args)
+        phases = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, len(sc.own)))
+        return sc._replace(own=sc.own * phases, other=sc.other * phases)
+
+    monkeypatch.setattr(ti, "_sector_columns", with_phases)
+    with pytest.raises(ValueError, match="symmetry: H_W is not real"):
+        build_torus_dirac(spec).overlap()
+
+
+def _sparse_product_blocks(op):
+    """The old sector blocks: W^* H_W W as one sparse product, cut into its
+    four sectors, with each sector's minus flags."""
     basis, sectors, minus = op.sector_basis
-    phases = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, len(sectors)))
-    with pytest.raises(ValueError, match="symmetry"):
-        ti._Overlap(op.wilson_kernel, op.grading, basis @ sp.diags(phases), sectors, minus)
-    with pytest.raises(ValueError, match="symmetry"):
-        ti._Overlap(op.wilson_kernel, op.grading, basis, np.roll(sectors, 1), minus)
+    product = (basis.conj().T @ sp.diags(op.grading) @ op.wilson_kernel @ basis).toarray()
+    return product, [(product[np.ix_(sectors == k, sectors == k)], minus[sectors == k])
+                     for k in range(4)]
+
+
+@pytest.mark.parametrize("n,d,r,mass", [(4, 4, 1.0, 1.0), (5, -6, 0.7, 1.3), (6, 1, 1.0, 0.05),
+                                        (7, 12, 1.5, 1.95), (8, -16, 0.6, 1.1), (9, 3, 1.2, 0.4)])
+@pytest.mark.parametrize("gauge_seed", [None, 5])
+def test_sector_blocks_match_the_sparse_product(n, d, r, mass, gauge_seed):
+    """The blocks built from the stencil against W^* H_W W, fresh and gauge
+    copies, odd N, |d| = N^2/4 and varied r and m0; the minus columns come
+    first in each block."""
+    op = build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=mass))
+    if gauge_seed is not None:
+        op = gauge_transform(op, np.random.default_rng(gauge_seed).uniform(0, 2 * np.pi, (n, n)))
+    blocks, minus_rows = op.sector_blocks()
+    product, oracle = _sparse_product_blocks(op)
+    scale = max(1.0, abs(op.wilson_kernel).max())
+    assert sum(b.size for b in blocks) == sum(w.size for w, _ in oracle)
+    for block, rows, (want, flags) in zip(blocks, minus_rows, oracle):
+        assert block.dtype == float and block.shape == want.shape
+        assert np.max(np.abs(block - want)) <= 1e-13 * scale
+        assert np.array_equal(np.arange(len(flags)) < rows, flags)
+
+
+def test_geometry_is_cached_read_only_and_link_free():
+    geo = ti._geometry(6)
+    assert ti._geometry(6) is geo
+    for name, array in geo._asdict().items():
+        assert not array.flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        geo.rows[0] = 1
+    op = build_torus_dirac(FluxBundleSpec(6, 1))
+    rows, cols, values = op.triplets
+    assert rows is geo.rows and cols is geo.cols and values.flags.writeable
+
+
+def test_index_path_does_not_import_scipy_sparse():
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import spindex",
+        "from spindex import torus_index as ti",
+        "spec = ti.FluxBundleSpec(8, 1)",
+        "assert ti.index(ti.build_torus_dirac(spec)).index == 1",
+        "phases = np.random.default_rng(0).uniform(0, 6, (8, 8))",
+        "assert ti.index(ti.gauge_transform(ti.build_torus_dirac(spec), phases)).index == 1",
+        "other = ti.build_torus_dirac(ti.FluxBundleSpec(6, -2))",
+        "assert ti.disjoint_union_index(ti.build_torus_dirac(spec), other) == -1",
+        "assert ti.spectral_flow(ti.shift_family(0.5, 1.5)) == 1",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ti.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "scipy.sparse" not in out.stdout
 
 
 def test_links_without_the_symmetry_are_refused():
@@ -546,6 +669,19 @@ def test_family_refuses_non_finite_endpoints(t0, t1, name):
 def test_family_requires_hermitian():
     fam = ti.FamilySpec(0.1, 1.1, lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
+        spectral_flow(fam)
+
+
+@pytest.mark.parametrize("bad,words", [
+    (np.array([[np.nan]]), "not finite"), (np.array([[1.0, np.inf], [np.inf, 1.0]]), "not finite"),
+    (np.ones((2, 3)), "not a square matrix"), (np.ones(3), "not a square matrix")])
+@pytest.mark.parametrize("at_end", [False, True])
+def test_spectral_flow_refuses_non_finite_or_non_square_endpoints(bad, words, at_end):
+    # a nan matrix gave flow 0 silently; a non-square one a LinAlgError or a
+    # numpy broadcast message
+    good = np.diag([1.0, -2.0])
+    fam = ti.FamilySpec(0.25, 1.5, lambda t: bad if (t == 1.5) == at_end else good)
+    with pytest.raises(ValueError, match=f"t = {1.5 if at_end else 0.25} .*{words}"):
         spectral_flow(fam)
 
 
