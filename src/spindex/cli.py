@@ -1,5 +1,9 @@
 """Command-line interface: every computation as a subcommand with JSON
-output (exit 0 success, 2 validation error, 3 ambiguous/non-convergent)."""
+output (exit 0 success, 2 validation error, 3 ambiguous/non-convergent).
+
+Each command imports what it uses, so that the exact commands (``cl-table``,
+``spin-cover`` on exact input) start without loading numpy.
+"""
 
 from __future__ import annotations
 
@@ -8,14 +12,7 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import acceptance, spinors, symbols, torus_index
-from .clifford import (Multivector, QuadraticForm, blade_name,
-                       classify_complex, classify_real)
-from .spin_groups import SpinElement, covering_map, lift_rotation
-from .symbols import AmbiguousWindingError
-from .torus_index import AmbiguousKernelError, NonConvergenceError
+from .clifford import QuadraticForm, blade_name, blade_sign
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,15 +45,6 @@ def _emit(args, payload, human_lines=None) -> None:
         sys.stdout.write(text)
 
 
-def _signed_blade_name(coeff, mask: int) -> str:
-    name = blade_name(mask)
-    if coeff == 1:
-        return name
-    if coeff == -1:
-        return f"-{name}"
-    return f"{coeff}*{name}"
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -67,14 +55,9 @@ def _cmd_cl_table(args) -> int:
     form = QuadraticForm(args.dim, _parse_signs(args.signs, args.dim))
     size = 1 << form.dim
     blades = [blade_name(m) for m in range(size)]
-    table = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            prod = (Multivector(form, {a: 1}) * Multivector(form, {b: 1})).terms()
-            ((mask, coeff),) = prod.items() if prod else ((0, 0),)
-            row.append(_signed_blade_name(coeff, mask))
-        table.append(row)
+    # e_A e_B = blade_sign(A, B) e_{A ^ B}
+    table = [[("-" if blade_sign(a, b, form.positive_mask) < 0 else "") + blades[a ^ b]
+              for b in range(size)] for a in range(size)]
     payload = {"dim": form.dim, "signs": list(form.signs),
                "blades": blades, "table": table}
     width = max(len(s) for row in table for s in row) + 1
@@ -86,6 +69,7 @@ def _cmd_cl_table(args) -> int:
 
 
 def _cmd_cl_classify(args) -> int:
+    from .clifford import classify_complex, classify_real
     if args.real:
         signs = _parse_signs(args.signs, args.dim)
         algebra = classify_real(signs.count(1), signs.count(-1))
@@ -98,6 +82,7 @@ def _cmd_cl_classify(args) -> int:
 
 
 def _cmd_spin_lift(args) -> int:
+    from .spin_groups import lift_rotation
     form = QuadraticForm.euclidean(args.dim) if args.dim else None
     element = lift_rotation(args.i, args.j, args.theta, form)
     payload = element.to_json()
@@ -106,6 +91,7 @@ def _cmd_spin_lift(args) -> int:
 
 
 def _cmd_spin_cover(args) -> int:
+    from .spin_groups import SpinElement, covering_map
     raw = args.element
     if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
@@ -119,6 +105,7 @@ def _cmd_spin_cover(args) -> int:
 
 
 def _cmd_abs_group(args) -> int:
+    from . import symbols
     group = symbols.abs_group(args.k)
     payload = {"k": group.k, "group": group.group,
                "generator_dim": group.generator.dim if group.generator else None}
@@ -130,6 +117,7 @@ _WINDING_MODULES = ("s2", "s2-flip", "s2+s2", "thom1")
 
 
 def _winding_class(name: str):
+    from . import spinors, symbols
     s2 = spinors.spinor_module(2)
     if name == "s2":
         return symbols.abs_class(s2)
@@ -143,6 +131,7 @@ def _winding_class(name: str):
 
 
 def _cmd_abs_winding(args) -> int:
+    from . import symbols
     if args.k != 2:
         raise ValueError("winding is computed on the circle; use --k 2")
     sc = _winding_class(args.module)
@@ -153,6 +142,7 @@ def _cmd_abs_winding(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
+    from . import symbols
     if args.op == "laplacian":
         op = symbols.laplacian_operator(args.dim or 2)
     elif args.op == "dalembert":
@@ -185,6 +175,7 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_index_torus(args) -> int:
+    from . import torus_index
     spec = torus_index.FluxBundleSpec(args.N, args.d,
                                       wilson_r=args.r, wilson_mass=args.mass)
     result = torus_index.index(torus_index.build_torus_dirac(spec))
@@ -196,6 +187,9 @@ def _cmd_index_torus(args) -> int:
 
 
 def _cmd_spectral_flow(args) -> int:
+    import numpy as np
+
+    from . import torus_index
     if args.family == "shift":
         fam = torus_index.shift_family(args.t0, args.t1, modes=args.modes)
     elif args.family == "constant":
@@ -212,6 +206,7 @@ def _cmd_spectral_flow(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
+    from . import acceptance
     results = acceptance.run_all(seed=args.seed)
     if args.format == "json":
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -311,12 +306,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ambiguous_errors() -> tuple:
+    """The exit-3 error types of the modules loaded so far; a command that
+    never imported a module cannot have raised its errors."""
+    found = []
+    for module, names in (("torus_index", ("AmbiguousKernelError", "NonConvergenceError")),
+                          ("symbols", ("AmbiguousWindingError",))):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            found += [getattr(loaded, name) for name in names]
+    return tuple(found)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AmbiguousKernelError, NonConvergenceError, AmbiguousWindingError) as exc:
+    except _ambiguous_errors() as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_AMBIGUOUS
     except (ValueError, ArithmeticError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -160,7 +160,9 @@ class Multivector:
 
     @classmethod
     def _trusted(cls, form: QuadraticForm, terms: Dict[int, Coefficient]) -> "Multivector":
-        """Wrap terms already known to be in range, nonzero and exact."""
+        """Wrap terms already known to be in range and nonzero, with each
+        coefficient a GaussianRational, float or complex (as the constructor
+        leaves them)."""
         out = object.__new__(cls)
         out.form = form
         out._terms = terms
@@ -479,6 +481,22 @@ def embed_lower(x: Multivector, target: QuadraticForm) -> Multivector:
 
     The source form must satisfy ``signs_src[i] == signs_tgt[i] * signs_tgt[n-1]``
     so that the generator relations are preserved.
+
+    Each blade maps in closed form.  For A = {i_1 < ... < i_k}, the image
+    (e_{i_1} e_n) ... (e_{i_k} e_n) becomes e_{i_1} ... e_{i_k} e_n^k once
+    every e_n is moved to the right: the e_n of factor j anticommutes past
+    the k - j generators e_{i_{j+1}}, ..., e_{i_k}, which gives
+    (-1)^(k(k-1)/2).  With
+    e_n^2 = -s_n (s_n = ``target.signs[-1]``),
+    e_n^k = (-s_n)^floor(k/2) e_n^(k mod 2), and since n is the top index
+    e_A e_n is the canonical blade A | bit_(n-1).  So
+
+        c e_A -> (-1)^(k(k-1)/2) (-s_n)^floor(k/2) c e_{A'} = s_n^floor(k/2) c e_{A'},
+
+    with A' = A | bit_(n-1) for odd k and A' = A for even k; the two signs
+    combine because k(k-1)/2 and floor(k/2) are both odd exactly when
+    k = 2, 3 mod 4.  The map is injective on blades, so each term gives one
+    term.
     """
     src = x.form
     if target.dim != src.dim + 1:
@@ -487,14 +505,12 @@ def embed_lower(x: Multivector, target: QuadraticForm) -> Multivector:
     for i in range(src.dim):
         if src.signs[i] != target.signs[i] * last:
             raise ValueError("incompatible signs between source and target forms")
-    e_n = Multivector.basis_vector(target, target.dim)
-    out = Multivector.zero(target)
-    for mask, v in x.terms().items():
-        img = Multivector.scalar(target, 1)
-        for i in blade_indices(mask):
-            img = img * (Multivector.basis_vector(target, i) * e_n)
-        out = out + img * v
-    return out
+    top = 1 << src.dim
+    out = {}
+    for mask, v in x._terms.items():
+        k = mask.bit_count()
+        out[mask | top if k & 1 else mask] = -v if last < 0 and k & 2 else v
+    return Multivector._trusted(target, out)
 
 
 # ---------------------------------------------------------------------------

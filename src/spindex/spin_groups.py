@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple, Union
 
 from . import exactnum
 from .clifford import (GaussianRational, Multivector, QuadraticForm,
-                       blade_grade)
+                       blade_grade, blade_sign)
 
 FLOAT_TOL = 1e-12
 
@@ -206,9 +206,15 @@ def _conjugation_matrix(x: Multivector, norm: Optional[GaussianRational] = None
             alpha_inv = x.inverse().grade_involution()
     except ZeroDivisionError as exc:
         raise NotInvertibleError("twisting element is not invertible") from exc
+    pos = form.positive_mask
     cols = []
-    for i in range(1, form.dim + 1):
-        image = x * Multivector.basis_vector(form, i) * alpha_inv
+    for i in range(form.dim):
+        # x e_i term by term: c e_A e_i = blade_sign(A, e_i) c e_{A ^ e_i}
+        bit = 1 << i
+        x_ei = Multivector._trusted(form, {
+            mask ^ bit: -c if blade_sign(mask, bit, pos) < 0 else c
+            for mask, c in x._terms.items()})
+        image = x_ei * alpha_inv
         off = image - image.grade_part(1)
         if not _negligible(off):
             raise NotScalarNormError("image of a vector is not a vector")

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spindex import cli
+from spindex import cli, torus_index
 from spindex.clifford import QuadraticForm
 from spindex.spin_groups import FLOAT_TOL, covering_map, lift_rotation
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -107,7 +113,7 @@ def test_index_torus_refuses_mass_past_the_first_doubler(capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_index_torus_refuses_non_finite_wilson_r(capsys, monkeypatch, value):
     # refused by validation, before any assembly
-    monkeypatch.setattr(cli.torus_index, "build_torus_dirac", None)
+    monkeypatch.setattr(torus_index, "build_torus_dirac", None)
     code, out, err = run(capsys, "index-torus", "--N", "8", "--d", "2", "--r", value)
     assert code == 2 and out == "" and f"wilson_r must be finite, got {value}" in err
 
@@ -223,3 +229,78 @@ def test_acceptance_lines_show_budget_use():
     assert acc.CriterionResult("flow", False, "boom", 0.0).line() == "FAIL flow: boom [0.00s]"
     assert acc._run("slow", 10.0, lambda: "done").line().endswith("s / 10s]")
     assert acc._run("free", 0.0, lambda: "done").budget == 0.0
+
+
+def _cl_table_by_products(dim, signs):
+    """cl-table's JSON and human output, with every entry from a full
+    multivector product."""
+    from spindex.clifford import Multivector, blade_name
+
+    form = QuadraticForm(dim, signs)
+    size = 1 << dim
+    blades = [blade_name(m) for m in range(size)]
+    table = []
+    for a in range(size):
+        row = []
+        for b in range(size):
+            ((mask, coeff),) = (Multivector(form, {a: 1}) * Multivector(form, {b: 1})).terms().items()
+            name = blade_name(mask)
+            row.append(name if coeff == 1 else f"-{name}" if coeff == -1 else f"{coeff}*{name}")
+        table.append(row)
+    as_json = json.dumps({"dim": dim, "signs": list(signs), "blades": blades,
+                          "table": table}, sort_keys=True) + "\n"
+    width = max(len(s) for row in table for s in row) + 1
+    human = ["".rjust(width) + "".join(b.rjust(width) for b in blades)]
+    for name, row in zip(blades, table):
+        human.append(name.rjust(width) + "".join(s.rjust(width) for s in row))
+    return {"json": as_json, "human": "\n".join(human) + "\n"}
+
+
+@pytest.mark.parametrize("dim", range(9))
+def test_cl_table_matches_products_byte_for_byte(capsys, dim):
+    signatures = [tuple((-1) ** i for i in range(dim)), (1,) * dim,
+                  (-1,) * dim, (1,) * (dim // 2) + (-1,) * (dim - dim // 2)]
+    # the product oracle takes about a second per signature at dim 8
+    for signs in signatures[:{7: 2, 8: 1}.get(dim, 4)]:
+        # "--" would be read as argparse's end-of-options marker
+        text = ",".join("+" if s == 1 else "-" for s in signs)
+        expected = _cl_table_by_products(dim, signs)
+        for fmt in ("json", "human"):
+            code, out, _ = run(capsys, "cl-table", "--dim", str(dim), f"--signs={text}",
+                               "--format", fmt)
+            assert code == 0
+            assert out == expected[fmt]
+
+
+def test_exact_paths_do_not_load_numpy():
+    """The exact core, cl-table and an exact spin-cover run without numpy."""
+    element = json.dumps({"dim": 3, "signs": [1, 1, 1], "terms": [
+        {"blade": [], "re": "3/5", "im": "0"}, {"blade": [1, 2], "re": "4/5", "im": "0"}]})
+    script = "\n".join([
+        "import io, sys, contextlib",
+        "import spindex",
+        "spindex.Multivector, spindex.SpinElement, spindex.covering_map",
+        "from spindex import cli",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    assert cli.main(['cl-table', '--dim', '3']) == 0",
+        f"    assert cli.main(['spin-cover', '--element', {element!r}]) == 0",
+        "assert 'e123' in out.getvalue() and '-7/25' in out.getvalue()",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([_SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_package_exports():
+    import spindex
+
+    assert len(spindex.__all__) == 71 and "index" in spindex.__all__
+    for name in spindex.__all__:
+        assert getattr(spindex, name) is not None
+    assert spindex.torus_index.index is spindex.index
+    assert spindex.Multivector is spindex.clifford.Multivector
+    with pytest.raises(AttributeError):
+        spindex.no_such_name

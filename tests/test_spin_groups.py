@@ -160,6 +160,66 @@ def test_negated_float_element_keeps_its_cover():
     assert np.max(np.abs(covering_map(neg).to_numpy() - recomputed)) <= FLOAT_TOL
 
 
+def _conjugation_matrix_by_products(x):
+    """Columns x e_i alpha(x)^-1 from full multivector products."""
+    form = x.form
+    exact = all(isinstance(v, GaussianRational) for v in x.terms().values())
+    if exact:
+        alpha_inv = x.reversal() * (1 / spin_norm(x))
+    else:
+        alpha_inv = x.inverse().grade_involution()
+    cols = []
+    for i in range(1, form.dim + 1):
+        image = x * Multivector.basis_vector(form, i) * alpha_inv
+        vector = image.grade_part(1)
+        if exact:
+            assert image == vector
+            cols.append([Fraction(c.re) for c in vector.vector_coords()])
+        else:
+            assert (image - vector).isclose(Multivector.zero(form), FLOAT_TOL)
+            cols.append([float(c.re) if isinstance(c, GaussianRational)
+                         else float(complex(c).real) for c in vector.vector_coords()])
+    return tuple(tuple(col[r] for col in cols) for r in range(form.dim))
+
+
+def _random_clifford_element(rng, form, vectors=4):
+    """Product of random integer vectors with nonzero q: in the Clifford
+    group of any signature, with a norm that is rarely 1."""
+    x = Multivector.scalar(form, 1)
+    while vectors:
+        coords = [int(c) for c in rng.integers(-3, 4, form.dim)]
+        if form.value(coords) != 0:
+            x = x * Multivector.vector(form, coords)
+            vectors -= 1
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_conjugation_matrix_matches_full_products(n):
+    rng = np.random.default_rng(40 + n)
+    form = QuadraticForm.euclidean(n)
+    phase = Multivector.scalar(form, GaussianRational(Fraction(3, 5), Fraction(4, 5)))
+    exact = [random_spin_element(rng, form, pairs=p).value for p in (1, 2, 3)]
+    exact += [phase * exact[0]]
+    for _ in range(3):
+        signs = tuple(int(s) for s in rng.choice((1, -1), n))
+        exact.append(_random_clifford_element(rng, QuadraticForm(n, signs)))
+    floats = []
+    for _ in range(4):
+        u = lift_rotation(1, 2, float(rng.uniform(-3, 3)), form)
+        for _ in range(3):
+            i, j = (int(k) for k in rng.choice(n, 2, replace=False) + 1)
+            u = u * lift_rotation(i, j, float(rng.uniform(-3, 3)), form)
+        floats.append(u.value)
+    floats.append(Multivector.scalar(form, complex(0.6, 0.8)) * floats[0])
+    floats.append(Multivector(form, {m: float(v.re) for m, v in exact[1].terms().items()}))
+    for x in exact + floats:
+        expected = _conjugation_matrix_by_products(x)
+        assert _conjugation_matrix(x).entries == expected
+    for x in exact:
+        assert all(type(e) is Fraction for row in _conjugation_matrix(x).entries for e in row)
+
+
 def test_rotation_matrix_exactness():
     rng = np.random.default_rng(10)
     f5 = QuadraticForm.euclidean(5)
