@@ -22,6 +22,11 @@ EXIT_AMBIGUOUS = 3
 def _parse_signs(text: Optional[str], dim: int):
     if text is None:
         return (1,) * dim
+    if isinstance(text, list):
+        # argparse reads an option value of exactly "--" as the end-of-options
+        # marker and passes what follows it, here nothing, as a list
+        raise ValueError("signs must be a string of '+' and '-'; "
+                         "write '--' as '-,-' (argparse reads '--' as end of options)")
     cleaned = text.replace(",", "").replace(" ", "")
     table = {"+": 1, "-": -1}
     try:

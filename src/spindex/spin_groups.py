@@ -8,6 +8,20 @@ floats with a 1e-12 working tolerance.
 
 Norm convention: N(x) = rev(alpha(x)) * x, one of the scalar-factor choices;
 documented here once rather than claimed canonical.
+
+Exact elements are certified on integers.  Write x = X / den with X an
+integer (Gaussian) blade map and den the lcm of the coefficient denominators
+(``clifford._numerators``).  When N(x) is scalar, x^-1 = rev(alpha(x)) / N(x),
+so alpha(x)^-1 = alpha(x^-1) = rev(x) / N(x) (alpha and rev commute and fix
+scalars), and
+
+    x e_i alpha(x)^-1 = x e_i rev(x) / N(x) = (X e_i rev(X)) / s0,
+    s0 = den^2 N(x) = scalar entry of rev(alpha(X)) X.
+
+So one integer product gives s0 and n more give the columns of the cover as
+integers over the single denominator s0; the SO(q) check reads those integers
+(C^T Q C = s0^2 Q and det C = s0^n), and division happens only when the
+final Fraction entries are built.
 """
 
 from __future__ import annotations
@@ -16,11 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import exactnum
 from .clifford import (GaussianRational, Multivector, QuadraticForm,
-                       blade_grade, blade_sign)
+                       _numerators, _product, _sign_mask, blade_grade)
 
 FLOAT_TOL = 1e-12
 
@@ -66,10 +80,6 @@ def _negligible(x: Multivector) -> bool:
     return True
 
 
-def _is_exact(x: Multivector) -> bool:
-    return all(isinstance(v, GaussianRational) for v in x.terms().values())
-
-
 # ---------------------------------------------------------------------------
 # rotation matrices
 # ---------------------------------------------------------------------------
@@ -104,16 +114,10 @@ class RotationMatrix:
         """M^T Q M == Q and det M == +1 (exactly when entries are exact)."""
         n = self.dim
         if self.is_exact():
-            # column j is cols[j] / dens[j] with integer cols[j]
-            dens = [lcm(*(e.denominator for e in self.column(j))) for j in range(n)]
-            cols = [[e.numerator * (d // e.denominator) for e in self.column(j)]
-                    for j, d in enumerate(dens)]
-            for i in range(n):
-                for j in range(i, n):
-                    acc = sum(s * a * b for s, a, b in zip(form.signs, cols[i], cols[j]))
-                    if acc != (form.signs[i] * dens[i] * dens[j] if i == j else 0):
-                        return False
-            return self.determinant() == 1
+            den = lcm(*(e.denominator for row in self.entries for e in row))
+            cols = [[e.numerator * (den // e.denominator) for e in self.column(j)]
+                    for j in range(n)]
+            return _cleared_is_special_orthogonal(cols, den, form.signs)
         for i in range(n):
             for j in range(n):
                 acc = 0.0
@@ -138,6 +142,27 @@ class RotationMatrix:
             for a, b in zip(ra, rb))
 
 
+def _cleared_is_special_orthogonal(cols: List[List[int]], den: int, signs) -> bool:
+    """Whether M = C / den, with ``cols[j]`` the integer column j of C, is in
+    SO(q): M^T Q M = Q and det M = 1, read on the integers as
+    C^T Q C = den^2 Q and det C = den^n."""
+    n = len(cols)
+    den2 = den * den
+    for i in range(n):
+        for j in range(i, n):
+            acc = sum(s * a * b for s, a, b in zip(signs, cols[i], cols[j]))
+            if acc != (signs[i] * den2 if i == j else 0):
+                return False
+    # det C^T = det C; bareiss eliminates in place, so it gets a copy
+    return exactnum.bareiss([list(c) for c in cols]) == den ** n
+
+
+def _rotation(cols: List[List[int]], den: int) -> RotationMatrix:
+    n = len(cols)
+    return RotationMatrix(tuple(tuple(Fraction(cols[j][i], den) for j in range(n))
+                                for i in range(n)))
+
+
 # ---------------------------------------------------------------------------
 # membership certification
 # ---------------------------------------------------------------------------
@@ -158,7 +183,8 @@ def is_in_spin(x: Multivector) -> SpinCertificate:
 
 
 def _certify(x: Multivector):
-    exact = _is_exact(x)
+    cleared = _numerators(x._terms)
+    exact = cleared is not None
     for mask, v in x.terms().items():
         if blade_grade(mask) & 1:
             return SpinCertificate(False, "element has an odd component"), None
@@ -166,17 +192,16 @@ def _certify(x: Multivector):
             return SpinCertificate(False, "coefficients are not real"), None
         if not exact and abs(complex(v).imag) > FLOAT_TOL:
             return SpinCertificate(False, "coefficients are not real"), None
+    if exact:
+        return _certify_cleared(x.form, cleared)
     try:
         norm = spin_norm(x)
     except NotScalarNormError:
         return SpinCertificate(False, "norm is not scalar"), None
-    if exact:
-        if norm != 1:
-            return SpinCertificate(False, f"norm is {norm}, not 1"), None
-    elif abs(complex(norm) - 1) > FLOAT_TOL:
+    if abs(complex(norm) - 1) > FLOAT_TOL:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
     try:
-        matrix = _conjugation_matrix(x, norm)
+        matrix = _conjugation_matrix(x)
     except NotInvertibleError:
         return SpinCertificate(False, "element is not invertible"), None
     except NotScalarNormError:
@@ -186,51 +211,135 @@ def _certify(x: Multivector):
     return SpinCertificate(True), matrix
 
 
-def _conjugation_matrix(x: Multivector, norm: Optional[GaussianRational] = None
-                        ) -> RotationMatrix:
+def _certify_cleared(form: QuadraticForm, cleared):
+    """The exact branch of :func:`_certify` for an even element with real
+    coefficients, given as ``cleared = (den, re, {})``: the same checks in
+    the same order, on integers (module docstring)."""
+    den = cleared[0]
+    try:
+        s0 = _cleared_norm(form, cleared)
+    except NotScalarNormError:
+        return SpinCertificate(False, "norm is not scalar"), None
+    norm = GaussianRational.over(*s0, den * den)
+    if norm != 1:
+        return SpinCertificate(False, f"norm is {norm}, not 1"), None
+    try:
+        d, cols = _cleared_columns(form, cleared, s0)
+    except NotScalarNormError:
+        return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
+    if not _cleared_is_special_orthogonal(cols, d, form.signs):
+        return SpinCertificate(False, "image is not special orthogonal"), None
+    return SpinCertificate(True), _rotation(cols, d)
+
+
+def _conjugation_matrix(x: Multivector) -> RotationMatrix:
     """Matrix of v -> x v alpha(x)^-1 on the generators.
 
-    ``norm`` is N(x) when the caller has already computed it.  For exact x
-    with scalar N(x), alpha(x)^-1 = rev(x) N(x)^-1 (alpha and rev commute),
-    so no general inverse is needed; float elements keep the general
+    For exact x the column i is x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 with
+    X = den x integral and s0 = den^2 N(x) (derived in the module
+    docstring), computed on integers.  Float elements keep the general
     inverse, whose rounding the float results were produced with.
     """
     form = x.form
-    exact = _is_exact(x)
+    cleared = _numerators(x._terms)
+    if cleared is not None:
+        d, cols = _cleared_columns(form, cleared, _cleared_norm(form, cleared))
+        return _rotation(cols, d)
     try:
-        if exact:
-            if norm is None:
-                norm = spin_norm(x)
-            alpha_inv = x.reversal() if norm == 1 else x.reversal() * (1 / norm)
-        else:
-            alpha_inv = x.inverse().grade_involution()
+        alpha_inv = x.inverse().grade_involution()
     except ZeroDivisionError as exc:
         raise NotInvertibleError("twisting element is not invertible") from exc
     pos = form.positive_mask
     cols = []
     for i in range(form.dim):
-        # x e_i term by term: c e_A e_i = blade_sign(A, e_i) c e_{A ^ e_i}
-        bit = 1 << i
-        x_ei = Multivector._trusted(form, {
-            mask ^ bit: -c if blade_sign(mask, bit, pos) < 0 else c
-            for mask, c in x._terms.items()})
+        x_ei = Multivector._trusted(form, _times_generator(x._terms, 1 << i, pos))
         image = x_ei * alpha_inv
         off = image - image.grade_part(1)
         if not _negligible(off):
             raise NotScalarNormError("image of a vector is not a vector")
-        coords = image.grade_part(1).vector_coords()
-        col = []
-        for c in coords:
-            if isinstance(c, GaussianRational):
-                if exact and c.im != 0:
-                    raise NotScalarNormError("vector image has imaginary part")
-                col.append(Fraction(c.re) if exact else float(c.re))
-            else:
-                col.append(float(complex(c).real))
-        cols.append(col)
+        cols.append([float(c.re) if isinstance(c, GaussianRational) else float(complex(c).real)
+                     for c in image.grade_part(1).vector_coords()])
     n = form.dim
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return RotationMatrix(rows)
+    return RotationMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+
+
+def _times_generator(terms: Dict[int, object], bit: int, positive_mask: int) -> Dict[int, object]:
+    """The blade map of x e_i (``bit`` = e_i) term by term:
+    c e_A e_i = (-1)^popcount(A & sign mask) c e_{A ^ e_i}."""
+    sign_mask = _sign_mask(bit, positive_mask)
+    return {m ^ bit: -c if (m & sign_mask).bit_count() & 1 else c for m, c in terms.items()}
+
+
+# Gaussian-integer blade maps are pairs (re, im) of dicts blade -> int.
+
+def _reversed(part: Dict[int, int], alpha: bool = False) -> Dict[int, int]:
+    """rev (rev . alpha when ``alpha``) of an integer blade map: a blade of
+    grade k changes sign when k(k-1)/2 (k(k+1)/2) is odd, that is when
+    bit 1 of k (of k + 1) is set."""
+    shift = 1 if alpha else 0
+    return {m: -c if (m.bit_count() + shift) & 2 else c for m, c in part.items()}
+
+
+def _gaussian_product(a, b, positive_mask: int):
+    """(a_re + i a_im)(b_re + i b_im) as four real products, as in
+    ``Multivector.__mul__``; the maps may keep cancelled zeros."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    _product(a_re, b_re, positive_mask, re)
+    if a_im or b_im:
+        _product(a_im, b_im, positive_mask, re, -1)
+        _product(a_re, b_im, positive_mask, im)
+        _product(a_im, b_re, positive_mask, im)
+    return re, im
+
+
+def _cleared_norm(form: QuadraticForm, cleared) -> Tuple[int, int]:
+    """s0 = den^2 N(x) for x = X / den given as ``cleared = (den, re, im)``:
+    the (re, im) parts of the scalar entry of rev(alpha(X)) X.
+
+    Raises NotScalarNormError when any other entry is nonzero.
+    """
+    _, re, im = cleared
+    norm = _gaussian_product((_reversed(re, True), _reversed(im, True)), (re, im),
+                             form.positive_mask)
+    if any(v for part in norm for m, v in part.items() if m):
+        raise NotScalarNormError("norm is not scalar; element is outside the Clifford group")
+    return norm[0].get(0, 0), norm[1].get(0, 0)
+
+
+def _cleared_columns(form: QuadraticForm, cleared, s0: Tuple[int, int]):
+    """``(d, cols)``: the columns x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 as
+    integer lists ``cols[i]`` over one real denominator d (s0 itself when it
+    is real, |s0|^2 otherwise, the columns then times conj(s0)).
+
+    Raises NotInvertibleError when s0 = 0 and NotScalarNormError when an
+    image leaves the vector space or has an imaginary part.
+    """
+    _, re, im = cleared
+    s_re, s_im = s0
+    if not (s_re or s_im):
+        raise NotInvertibleError("twisting element is not invertible")
+    pos = form.positive_mask
+    n = form.dim
+    rev = _reversed(re), _reversed(im)
+    cols = []
+    for i in range(n):
+        x_ei = tuple(_times_generator(part, 1 << i, pos) for part in (re, im))
+        img_re, img_im = _gaussian_product(x_ei, rev, pos)
+        if any(v for part in (img_re, img_im) for m, v in part.items()
+               if m.bit_count() != 1):
+            raise NotScalarNormError("image of a vector is not a vector")
+        c_re = [img_re.get(1 << r, 0) for r in range(n)]
+        c_im = [img_im.get(1 << r, 0) for r in range(n)]
+        if s_im:
+            # c / s0 = c conj(s0) / |s0|^2
+            c_re, c_im = ([a * s_re + b * s_im for a, b in zip(c_re, c_im)],
+                          [b * s_re - a * s_im for a, b in zip(c_re, c_im)])
+        if any(c_im):
+            raise NotScalarNormError("vector image has imaginary part")
+        cols.append(c_re)
+    return (s_re * s_re + s_im * s_im if s_im else s_re), cols
 
 
 @dataclass(frozen=True)

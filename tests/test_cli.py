@@ -272,6 +272,15 @@ def test_cl_table_matches_products_byte_for_byte(capsys, dim):
             assert out == expected[fmt]
 
 
+@pytest.mark.parametrize("command", [("cl-table",), ("cl-classify", "--real")])
+@pytest.mark.parametrize("signs", ["--signs=--", "--signs=-x"])
+def test_bad_signs_exit_two_with_an_error_line(capsys, command, signs):
+    code, out, err = run(capsys, *command, "--dim", "2", signs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: signs must be a string of '+' and '-'")
+    assert err.count("\n") == 1
+
+
 def test_exact_paths_do_not_load_numpy():
     """The exact core, cl-table and an exact spin-cover run without numpy."""
     element = json.dumps({"dim": 3, "signs": [1, 1, 1], "terms": [

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from spindex.clifford import GaussianRational, Multivector, QuadraticForm
-from spindex.spin_groups import (FLOAT_TOL, NotScalarNormError, SpinElement,
-                                 _conjugation_matrix, covering_map,
+from spindex.spin_groups import (FLOAT_TOL, NotScalarNormError, RotationMatrix,
+                                 SpinCertificate, SpinElement, _certify, _conjugation_matrix,
+                                 covering_map,
                                  is_in_spin, lift_rotation,
                                  rational_unit_vector, random_spin_element,
                                  spin_norm, spinc_canonicalize,
@@ -80,6 +82,48 @@ def test_is_in_spin_certificates():
     assert not cert_odd.ok and "odd" in cert_odd.reason
     cert_norm = is_in_spin(2 * blade(1, 2))
     assert not cert_norm.ok and "norm" in cert_norm.reason
+
+
+F3, F6, F11 = QuadraticForm.euclidean(3), QuadraticForm.euclidean(6), QuadraticForm(2, (1, -1))
+
+
+@pytest.mark.parametrize("x, reason", [
+    (blade(1), "element has an odd component"),
+    (Multivector.scalar(F3, GaussianRational(Fraction(3, 5), Fraction(4, 5))),
+     "coefficients are not real"),
+    (Multivector.scalar(F4, 1) + blade(1, 2) + blade(3, 4), "norm is not scalar"),
+    (2 * blade(1, 2), "norm is 4, not 1"),
+    (Multivector(F11, {0: Fraction(3, 4), 0b11: Fraction(5, 4)}), "norm is -1, not 1"),
+    # even, real and N = 1, but not a versor: x e_i rev(x) has an e_i e123456 part
+    (Multivector(F6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)}),
+     "twisted conjugation leaves the vector space"),
+])
+def test_is_in_spin_rejection_reasons(x, reason):
+    assert is_in_spin(x) == SpinCertificate(False, reason)
+
+
+def test_rotation_matrix_path_rejects_images_that_are_not_real_vectors():
+    x = Multivector(F6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
+    assert spin_norm(x) == 1
+    with pytest.raises(NotScalarNormError, match="not a vector"):
+        _conjugation_matrix(x)
+    # N(2 + i e12) = 3, and x e_1 alpha(x)^-1 = (5 e1 + 4i e2) / 3
+    y = Multivector(QuadraticForm.euclidean(2), {0: 2, 0b11: GaussianRational(0, 1)})
+    assert spin_norm(y) == 3
+    with pytest.raises(NotScalarNormError, match="imaginary"):
+        _conjugation_matrix(y)
+
+
+@pytest.mark.parametrize("signs, rows, special_orthogonal", [
+    ((1, 1), ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5))), True),
+    ((1, 1), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))), False),
+    ((1, 1), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2))), False),
+    ((1, -1), ((Fraction(5, 4), Fraction(3, 4)), (Fraction(3, 4), Fraction(5, 4))), True),
+    ((1, 1), ((Fraction(5, 4), Fraction(3, 4)), (Fraction(3, 4), Fraction(5, 4))), False),
+])
+def test_exact_special_orthogonal_check(signs, rows, special_orthogonal):
+    rot = RotationMatrix(rows)
+    assert rot.is_special_orthogonal(QuadraticForm(2, signs)) is special_orthogonal
 
 
 def test_spin_elements_are_even():
@@ -161,7 +205,8 @@ def test_negated_float_element_keeps_its_cover():
 
 
 def _conjugation_matrix_by_products(x):
-    """Columns x e_i alpha(x)^-1 from full multivector products."""
+    """Columns x e_i alpha(x)^-1 from full multivector products; for exact
+    x, NotScalarNormError when an image is not a real vector."""
     form = x.form
     exact = all(isinstance(v, GaussianRational) for v in x.terms().values())
     if exact:
@@ -173,7 +218,8 @@ def _conjugation_matrix_by_products(x):
         image = x * Multivector.basis_vector(form, i) * alpha_inv
         vector = image.grade_part(1)
         if exact:
-            assert image == vector
+            if image != vector or any(c.im for c in vector.vector_coords()):
+                raise NotScalarNormError("image is not a real vector")
             cols.append([Fraction(c.re) for c in vector.vector_coords()])
         else:
             assert (image - vector).isclose(Multivector.zero(form), FLOAT_TOL)
@@ -182,9 +228,39 @@ def _conjugation_matrix_by_products(x):
     return tuple(tuple(col[r] for col in cols) for r in range(form.dim))
 
 
+def _certify_by_products(x):
+    """The Spin certificate and matrix of exact x from full products, with
+    M^T Q M = Q on Fractions and det M by the Leibniz formula."""
+    if any(bin(m).count("1") % 2 for m in x.terms()):
+        return SpinCertificate(False, "element has an odd component"), None
+    if any(v.im for v in x.terms().values()):
+        return SpinCertificate(False, "coefficients are not real"), None
+    try:
+        norm = spin_norm(x)
+    except NotScalarNormError:
+        return SpinCertificate(False, "norm is not scalar"), None
+    if norm != 1:
+        return SpinCertificate(False, f"norm is {norm}, not 1"), None
+    try:
+        m = _conjugation_matrix_by_products(x)
+    except NotScalarNormError:
+        return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
+    n, q = x.form.dim, x.form.signs
+    gram = [[sum(q[r] * m[r][i] * m[r][j] for r in range(n)) for j in range(n)]
+            for i in range(n)]
+    det = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+        det += (-1) ** inversions * math.prod(m[r][p[r]] for r in range(n))
+    if gram != [[q[i] if i == j else 0 for j in range(n)] for i in range(n)] or det != 1:
+        return SpinCertificate(False, "image is not special orthogonal"), None
+    return SpinCertificate(True), m
+
+
 def _random_clifford_element(rng, form, vectors=4):
     """Product of random integer vectors with nonzero q: in the Clifford
-    group of any signature, with a norm that is rarely 1."""
+    group of any signature, with a norm that is rarely 1 (odd for an odd
+    number of vectors)."""
     x = Multivector.scalar(form, 1)
     while vectors:
         coords = [int(c) for c in rng.integers(-3, 4, form.dim)]
@@ -213,11 +289,18 @@ def test_conjugation_matrix_matches_full_products(n):
         floats.append(u.value)
     floats.append(Multivector.scalar(form, complex(0.6, 0.8)) * floats[0])
     floats.append(Multivector(form, {m: float(v.re) for m, v in exact[1].terms().items()}))
+    # an odd element, where rev and rev alpha differ
+    signs = tuple(int(s) for s in rng.choice((1, -1), n))
+    exact.append(_random_clifford_element(rng, QuadraticForm(n, signs), vectors=3))
     for x in exact + floats:
         expected = _conjugation_matrix_by_products(x)
         assert _conjugation_matrix(x).entries == expected
     for x in exact:
         assert all(type(e) is Fraction for row in _conjugation_matrix(x).entries for e in row)
+        cert, matrix = _certify(x)
+        want_cert, want_matrix = _certify_by_products(x)
+        assert cert == want_cert
+        assert (matrix.entries if matrix else None) == want_matrix
 
 
 def test_rotation_matrix_exactness():
