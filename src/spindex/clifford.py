@@ -2,12 +2,11 @@
 
 Elements are stored blade-wise: a blade is a bitmask over the basis vectors
 (bit ``i`` set means ``e_{i+1}`` occurs), which keeps every basis monomial in
-the canonical increasing-index form.  Coefficients are exact Gaussian
-rationals (see :mod:`spindex.exactnum`); an exact product clears each
-operand's denominators once, multiplies Gaussian-integer numerators and
-divides once per result coefficient.  Float/complex coefficients are also
-accepted for angle-parametrized constructions, in which case arithmetic is
-plain IEEE.
+the canonical increasing-index form.  Exact Gaussian-rational coefficients
+are stored as integers over one denominator (see :class:`Multivector`), and
+every exact operation works on those integers.  Float/complex coefficients
+are also accepted for angle-parametrized constructions, in which case
+arithmetic is plain IEEE.
 
 Sign convention: generators square to minus their quadratic-form value,
 ``v * v == -q(v)``, so the Euclidean (all ``+1``) form has ``e_i**2 == -1``.
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactnum import GaussianRational, realify, solve
@@ -138,17 +137,25 @@ def blade_product(a: int, b: int, form: QuadraticForm) -> Tuple[GaussianRational
 class Multivector:
     """Element of Cl(V, q) with blade-indexed coefficients.
 
-    Values behave immutably: all operations return fresh instances and the
-    term map is never mutated after construction, so instances are safe to
-    share across threads.
+    An exact element is ``(den, re, im)``: a positive integer ``den`` and two
+    ``dict[int, int]`` blade maps with no zero entries, the coefficient of
+    e_m being ``(re[m] + i*im[m]) / den``.  ``den`` is not reduced (a
+    product's is the product of its operands'); equality cross-multiplies
+    and the hash divides out one gcd.  ``GaussianRational`` appears only in
+    ``terms()``, ``coefficient()``, ``scalar_part()``, ``vector_coords()``,
+    ``to_json()`` and ``repr``.  An element with any float or complex
+    coefficient keeps its coefficient dict instead (``_float``, exact
+    entries included).  No stored map changes after construction, so
+    instances are safe to share across threads.
     """
 
-    __slots__ = ("form", "_terms")
+    __slots__ = ("form", "_den", "_re", "_im", "_float")
 
     def __init__(self, form: QuadraticForm, terms: Dict[int, Coefficient]):
         self.form = form
         limit = 1 << form.dim
         clean: Dict[int, Coefficient] = {}
+        den = 1                         # 0 once a coefficient is inexact
         for mask, value in terms.items():
             if mask >= limit or mask < 0:
                 raise ValueError("blade outside algebra dimension")
@@ -156,16 +163,22 @@ class Multivector:
                 value = GaussianRational(value)
             if value:
                 clean[mask] = value
-        self._terms = clean
+                den = den and type(value) is GaussianRational and lcm(
+                    den, value.re.denominator, value.im.denominator)
+        if not den:
+            self._den, self._re, self._im, self._float = None, None, None, clean
+            return
+        self._den, self._float = den, None
+        self._re = {m: v.re.numerator * (den // v.re.denominator)
+                    for m, v in clean.items() if v.re}
+        self._im = {m: v.im.numerator * (den // v.im.denominator)
+                    for m, v in clean.items() if v.im}
 
     @classmethod
-    def _trusted(cls, form: QuadraticForm, terms: Dict[int, Coefficient]) -> "Multivector":
-        """Wrap terms already known to be in range and nonzero, with each
-        coefficient a GaussianRational, float or complex (as the constructor
-        leaves them)."""
+    def _exact(cls, form: QuadraticForm, den: int, re: Dict[int, int], im: Dict[int, int]):
+        """Wrap integer blade maps with no zero entries over ``den > 0``."""
         out = object.__new__(cls)
-        out.form = form
-        out._terms = terms
+        out.form, out._den, out._re, out._im, out._float = form, den, re, im, None
         return out
 
     # -- constructors ------------------------------------------------------
@@ -198,33 +211,43 @@ class Multivector:
     # -- access --------------------------------------------------------------
 
     def terms(self) -> Dict[int, Coefficient]:
-        return dict(self._terms)
+        if self._float is not None:
+            return dict(self._float)
+        re, im, den = self._re, self._im, self._den
+        return {m: GaussianRational.over(re.get(m, 0), im.get(m, 0), den)
+                for m in ({**re, **im} if im else re)}
 
     def coefficient(self, mask_or_indices) -> Coefficient:
         mask = (mask_or_indices if isinstance(mask_or_indices, int)
                 else blade_from_indices(mask_or_indices))
-        return self._terms.get(mask, GaussianRational(0))
+        if self._float is not None:
+            return self._float.get(mask, GaussianRational(0))
+        return GaussianRational.over(self._re.get(mask, 0), self._im.get(mask, 0), self._den)
 
     def scalar_part(self) -> Coefficient:
-        return self._terms.get(0, GaussianRational(0))
+        return self.coefficient(0)
 
     def grade_part(self, k: int) -> "Multivector":
-        return Multivector(self.form, {m: v for m, v in self._terms.items()
-                                       if blade_grade(m) == k})
+        return self._map_parts(lambda part: {m: v for m, v in part.items() if m.bit_count() == k})
+
+    def _masks(self):
+        if self._float is not None:
+            return self._float.keys()
+        return self._re.keys() | self._im.keys()
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._float or self._re or self._im)
 
     def is_scalar(self) -> bool:
-        return all(m == 0 for m in self._terms)
+        return all(m == 0 for m in self._masks())
 
     def is_vector(self) -> bool:
-        return all(blade_grade(m) == 1 for m in self._terms)
+        return all(blade_grade(m) == 1 for m in self._masks())
 
     def vector_coords(self) -> List[Coefficient]:
         if not self.is_vector():
             raise ValueError("not a pure 1-vector")
-        return [self._terms.get(1 << i, GaussianRational(0)) for i in range(self.form.dim)]
+        return [self.coefficient(1 << i) for i in range(self.form.dim)]
 
     # -- ring structure ------------------------------------------------------
 
@@ -232,55 +255,54 @@ class Multivector:
         if self.form != other.form:
             raise FormMismatchError("multivectors live in different Clifford algebras")
 
+    def _map_parts(self, fn, form: Optional[QuadraticForm] = None) -> "Multivector":
+        """Apply ``fn``, a blade-dict map making no entry zero, to each stored map."""
+        form = self.form if form is None else form
+        if self._float is not None:
+            return Multivector(form, fn(self._float))
+        return Multivector._exact(form, self._den, fn(self._re), fn(self._im))
+
     def __add__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_form(other)
-        acc = dict(self._terms)
-        for m, v in other._terms.items():
-            acc[m] = acc[m] + v if m in acc else v
-        return Multivector(self.form, acc)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + other (``sign`` 1) or self - other (``sign`` -1)."""
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_form(other)
-        acc = dict(self._terms)
-        for m, v in other._terms.items():
-            acc[m] = acc[m] - v if m in acc else -v
+        if self._float is None and other._float is None:
+            da, db = self._den, other._den
+            den = lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+            return Multivector._exact(self.form, den, _combined(self._re, fa, other._re, fb),
+                                      _combined(self._im, fa, other._im, fb))
+        acc = self.terms()
+        for m, v in other.terms().items():
+            acc[m] = ((acc[m] + v if sign > 0 else acc[m] - v) if m in acc
+                      else v if sign > 0 else -v)
         return Multivector(self.form, acc)
 
     def __neg__(self):
-        return Multivector(self.form, {m: -v for m, v in self._terms.items()})
+        return self._map_parts(lambda part: {m: -v for m, v in part.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Multivector):
             return self._scale(other)
         self._check_form(other)
-        pos = self.form.positive_mask
-        left, right = _numerators(self._terms), _numerators(other._terms)
-        if left is None or right is None:
-            # inexact coefficients: plain float arithmetic term by term
-            acc: Dict[int, Coefficient] = {}
-            _product(self._terms, other._terms, pos, acc)
-            return Multivector(self.form, acc)
-        # (a_re + i a_im)(b_re + i b_im) over the denominator da * db
-        da, a_re, a_im = left
-        db, b_re, b_im = right
-        re: Dict[int, int] = {}
-        im: Dict[int, int] = {}
-        _product(a_re, b_re, pos, re)
-        if a_im or b_im:
-            _product(a_im, b_im, pos, re, -1)
-            _product(a_re, b_im, pos, im)
-            _product(a_im, b_re, pos, im)
-        den = da * db
-        out = {}
-        for m in (re.keys() | im.keys()) if im else re:
-            r, i = re.get(m, 0), im.get(m, 0)
-            if r or i:
-                out[m] = GaussianRational.over(r, i, den)
-        return Multivector._trusted(self.form, out)
+        if self._float is None and other._float is None:
+            return self._times(other)
+        # inexact coefficients: plain float arithmetic term by term
+        acc: Dict[int, Coefficient] = {}
+        _product(self.terms(), other.terms(), self.form.positive_mask, acc)
+        return Multivector(self.form, acc)
+
+    def _times(self, other: "Multivector") -> "Multivector":
+        """The product of two exact elements, on their integer maps."""
+        return Multivector._exact(self.form, self._den * other._den, *_gaussian_product(
+            (self._re, self._im), (other._re, other._im), self.form.positive_mask))
 
     def __rmul__(self, other):
         # scalars commute with everything we ever scale by
@@ -291,51 +313,53 @@ class Multivector:
             c = GaussianRational(c)
         elif not isinstance(c, (GaussianRational, float, complex)):
             return NotImplemented
-        return Multivector(self.form, {m: c * v for m, v in self._terms.items()})
+        if self._float is None and type(c) is GaussianRational:
+            return self._times(Multivector.scalar(self.form, c))
+        return Multivector(self.form, {m: c * v for m, v in self.terms().items()})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.form == other.form and self._terms == other._terms
+        if self.form != other.form:
+            return False
+        if self._float is not None or other._float is not None:
+            return self.terms() == other.terms()
+        da, db = self._den, other._den
+        # a / da == b / db blade by blade, on the same blades
+        return all(a.keys() == b.keys() and all(v * db == b[m] * da for m, v in a.items())
+                   for a, b in ((self._re, other._re), (self._im, other._im)))
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
         """Termwise comparison with tolerance (for float-coefficient paths)."""
         if self.form != other.form:
             return False
-        masks = set(self._terms) | set(other._terms)
-        for m in masks:
-            a = self._terms.get(m, GaussianRational(0))
-            b = other._terms.get(m, GaussianRational(0))
-            av, bv = _to_complex(a), _to_complex(b)
-            if abs(av - bv) > tol:
-                return False
-        return True
+        a, b = self.terms(), other.terms()
+        return all(abs(_to_complex(a.get(m, 0)) - _to_complex(b.get(m, 0))) <= tol
+                   for m in a.keys() | b.keys())
 
     def __hash__(self):
-        return hash((self.form, frozenset(
-            (m, v if isinstance(v, GaussianRational) else complex(v))
-            for m, v in self._terms.items())))
+        if self._float is not None:
+            return hash((self.form, frozenset(self._float.items())))
+        g = gcd(self._den, *self._re.values(), *self._im.values())
+        return hash((self.form, self._den // g,
+                     frozenset((m, v // g) for m, v in self._re.items()),
+                     frozenset((m, v // g) for m, v in self._im.items())))
 
     # -- involutions -----------------------------------------------------------
 
     def grade_involution(self) -> "Multivector":
         """alpha: negate odd-grade components (v -> -v on vectors)."""
-        return Multivector(self.form, {
-            m: (-v if blade_grade(m) & 1 else v) for m, v in self._terms.items()})
+        return self._map_parts(lambda part: {m: -v if m.bit_count() & 1 else v
+                                             for m, v in part.items()})
 
     def reversal(self) -> "Multivector":
         """Anti-automorphism e_{i1}...e_{ik} -> e_{ik}...e_{i1}."""
-        out = {}
-        for m, v in self._terms.items():
-            k = blade_grade(m)
-            out[m] = -v if (k * (k - 1) // 2) & 1 else v
-        return Multivector(self.form, out)
+        return self._map_parts(_reversed)
 
     def grade_decompose(self) -> Tuple["Multivector", "Multivector"]:
         """Split into the +1 / -1 eigenspaces of the grade involution."""
-        even = {m: v for m, v in self._terms.items() if not blade_grade(m) & 1}
-        odd = {m: v for m, v in self._terms.items() if blade_grade(m) & 1}
-        return Multivector(self.form, even), Multivector(self.form, odd)
+        return tuple(self._map_parts(lambda part, odd=odd: {
+            m: v for m, v in part.items() if m.bit_count() & 1 == odd}) for odd in (0, 1))
 
     # -- inversion ----------------------------------------------------------
 
@@ -347,15 +371,24 @@ class Multivector:
         float coefficients the shortcut also takes an N(x) whose non-scalar
         part is rounding residue, within 1e-12 of its scalar part.
         """
-        candidate = self.reversal().grade_involution()
+        candidate = self._map_parts(lambda part: _reversed(part, True))
         norm = candidate * self
         # a left inverse in a finite-dimensional algebra is two-sided, so a
         # scalar nonzero norm already certifies the shortcut
         if norm.is_scalar() and not norm.is_zero():
-            return candidate * _coeff_reciprocal(norm.scalar_part())
-        if any(type(v) is not GaussianRational for v in norm._terms.values()):
+            if self._float is not None:
+                return candidate * (1 / norm.scalar_part())
+            # candidate = C / d and N(x) = s / d^2, so x^-1 = C d conj(s) / |s|^2,
+            # taken here over |s|^2 / g with g = gcd(Re s, Im s)
+            s_re, s_im = norm._re.get(0, 0), norm._im.get(0, 0)
+            g, d = gcd(s_re, s_im), self._den
+            factor = _nonzero({0: d * s_re // g}), _nonzero({0: -d * s_im // g})
+            den = (s_re * s_re + s_im * s_im) // g
+            return Multivector._exact(self.form, den, *_gaussian_product(
+                (candidate._re, candidate._im), factor, self.form.positive_mask))
+        if norm._float is not None:
             scalar = _to_complex(norm.scalar_part())
-            residue = max(abs(_to_complex(v)) for m, v in norm._terms.items() if m)
+            residue = max(abs(_to_complex(v)) for m, v in norm._float.items() if m)
             if residue <= 1e-12 * abs(scalar):
                 return candidate * (1.0 / scalar)
         return self._inverse_by_solving()
@@ -363,13 +396,12 @@ class Multivector:
     def _inverse_by_solving(self) -> "Multivector":
         n = self.form.dim
         size = 1 << n
-        cleared = _numerators(self._terms)
-        if cleared is None:
+        if self._float is not None:
             import numpy as np
             mat = np.zeros((size, size), dtype=complex)
             for col in range(size):
                 prod = self * Multivector(self.form, {col: 1.0 + 0.0j})
-                for m, v in prod._terms.items():
+                for m, v in prod.terms().items():
                     mat[m, col] = complex(v)
             rhs = np.zeros(size, dtype=complex)
             rhs[0] = 1.0
@@ -380,9 +412,8 @@ class Multivector:
             return Multivector(self.form, {m: sol[m] for m in range(size)})
         # left multiplication by self = (re + i*im) / den; column col of
         # each integer part is that part times e_col
-        den, re, im = cleared
         parts = []
-        for part in (re, im):
+        for part in (self._re, self._im):
             mat = [[0] * size for _ in range(size)]
             for col in range(size):
                 column: Dict[int, int] = {}
@@ -390,18 +421,18 @@ class Multivector:
                 for m, v in column.items():
                     mat[m][col] = v
             parts.append(mat)
-        mat = realify(*parts) if im else parts[0]
-        y, d = solve(mat, [den] + [0] * (len(mat) - 1))
-        im_y = y[size:] if im else [0] * size
-        return Multivector(self.form, {m: GaussianRational.over(y[m], im_y[m], d)
-                                       for m in range(size)})
+        mat = realify(*parts) if self._im else parts[0]
+        y, d = solve(mat, [self._den] + [0] * (len(mat) - 1))
+        if d < 0:
+            y, d = [-v for v in y], -d
+        return Multivector._exact(self.form, d, _nonzero(dict(enumerate(y[:size]))),
+                                  _nonzero(dict(enumerate(y[size:]))))
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
         terms = []
-        for m in sorted(self._terms):
-            v = self._terms[m]
+        for m, v in sorted(self.terms().items()):
             if not isinstance(v, GaussianRational):
                 v = GaussianRational(Fraction(complex(v).real), Fraction(complex(v).imag))
             terms.append({"blade": list(blade_indices(m)),
@@ -418,11 +449,12 @@ class Multivector:
         return cls(form, terms)
 
     def __repr__(self):
-        if not self._terms:
+        terms = self.terms()
+        if not terms:
             return "0"
         parts = []
-        for m in sorted(self._terms, key=lambda m: (blade_grade(m), m)):
-            v = self._terms[m]
+        for m in sorted(terms, key=lambda m: (blade_grade(m), m)):
+            v = terms[m]
             parts.append(f"({v})*{blade_name(m)}" if m else f"({v})")
         return " + ".join(parts)
 
@@ -431,33 +463,24 @@ def _to_complex(c) -> complex:
     return c.to_complex() if isinstance(c, GaussianRational) else complex(c)
 
 
-def _coeff_reciprocal(c):
-    if isinstance(c, GaussianRational):
-        return GaussianRational(1) / c
-    return 1.0 / c
+def _nonzero(part: Dict[int, int]) -> Dict[int, int]:
+    return {m: v for m, v in part.items() if v}
 
 
-def _numerators(terms: Dict[int, Coefficient]
-                ) -> Optional[Tuple[int, Dict[int, int], Dict[int, int]]]:
-    """Clear denominators once: ``(den, re, im)`` with integer maps such that
-    each coefficient is ``(re[m] + i*im[m]) / den``, zero parts omitted; None
-    when some coefficient is inexact."""
-    den = 1
-    for v in terms.values():
-        if type(v) is not GaussianRational:
-            return None
-        if type(v.re) is not int:
-            den = lcm(den, v.re.denominator)
-        if type(v.im) is not int:
-            den = lcm(den, v.im.denominator)
-    re: Dict[int, int] = {}
-    im: Dict[int, int] = {}
-    for m, v in terms.items():
-        if v.re:
-            re[m] = v.re.numerator * (den // v.re.denominator)
-        if v.im:
-            im[m] = v.im.numerator * (den // v.im.denominator)
-    return den, re, im
+def _combined(a: Dict[int, int], fa: int, b: Dict[int, int], fb: int) -> Dict[int, int]:
+    """The integer blade map fa * a + fb * b, zero entries left out."""
+    acc = {m: v * fa for m, v in a.items()}
+    for m, v in b.items():
+        acc[m] = acc.get(m, 0) + v * fb
+    return _nonzero(acc)
+
+
+def _reversed(part: Dict[int, Coefficient], alpha: bool = False) -> Dict[int, Coefficient]:
+    """rev (rev . alpha when ``alpha``) of a blade map: a blade of grade k
+    changes sign when k(k-1)/2 (k(k+1)/2) is odd, that is when bit 1 of k
+    (of k + 1) is set."""
+    shift = 1 if alpha else 0
+    return {m: -c if (m.bit_count() + shift) & 2 else c for m, c in part.items()}
 
 
 def _product(a: Dict[int, Coefficient], b: Dict[int, Coefficient],
@@ -470,6 +493,20 @@ def _product(a: Dict[int, Coefficient], b: Dict[int, Coefficient],
             m = ma ^ mb
             t = va * vb
             acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
+
+
+def _gaussian_product(a, b, positive_mask: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(a_re + i a_im)(b_re + i b_im) for integer blade maps given as
+    ``(re, im)`` pairs: four real products, zero entries left out."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    _product(a_re, b_re, positive_mask, re)
+    if a_im or b_im:
+        _product(a_im, b_im, positive_mask, re, -1)
+        _product(a_re, b_im, positive_mask, im)
+        _product(a_im, b_re, positive_mask, im)
+    return _nonzero(re), _nonzero(im)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +543,10 @@ def embed_lower(x: Multivector, target: QuadraticForm) -> Multivector:
         if src.signs[i] != target.signs[i] * last:
             raise ValueError("incompatible signs between source and target forms")
     top = 1 << src.dim
-    out = {}
-    for mask, v in x._terms.items():
-        k = mask.bit_count()
-        out[mask | top if k & 1 else mask] = -v if last < 0 and k & 2 else v
-    return Multivector._trusted(target, out)
+    flip = 2 if last < 0 else 0     # s_n = -1 negates the grades k = 2, 3 mod 4
+    return x._map_parts(lambda part: {m | top if m.bit_count() & 1 else m:
+                                      -v if m.bit_count() & flip else v
+                                      for m, v in part.items()}, target)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Norm convention: N(x) = rev(alpha(x)) * x, one of the scalar-factor choices;
 documented here once rather than claimed canonical.
 
 Exact elements are certified on integers.  Write x = X / den with X an
-integer (Gaussian) blade map and den the lcm of the coefficient denominators
-(``clifford._numerators``).  When N(x) is scalar, x^-1 = rev(alpha(x)) / N(x),
+integer (Gaussian) blade map, the ``(den, re, im)`` that ``Multivector``
+stores.  When N(x) is scalar, x^-1 = rev(alpha(x)) / N(x),
 so alpha(x)^-1 = alpha(x^-1) = rev(x) / N(x) (alpha and rev commute and fix
 scalars), and
 
@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import exactnum
 from .clifford import (GaussianRational, Multivector, QuadraticForm,
-                       _numerators, _product, _sign_mask, blade_grade)
+                       _gaussian_product, _reversed, _sign_mask, _to_complex,
+                       blade_grade)
 
 FLOAT_TOL = 1e-12
 
@@ -71,13 +72,11 @@ def spin_norm(x: Multivector) -> Union[GaussianRational, complex]:
 
 
 def _negligible(x: Multivector) -> bool:
-    for v in x.terms().values():
-        if isinstance(v, GaussianRational):
-            if v:
-                return False
-        elif abs(complex(v)) > FLOAT_TOL:
-            return False
-    return True
+    """Zero, or (for an inexact x) every float coefficient within FLOAT_TOL."""
+    if x._float is None:
+        return x.is_zero()
+    return all(not v if isinstance(v, GaussianRational) else abs(complex(v)) <= FLOAT_TOL
+               for v in x._float.values())
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +182,19 @@ def is_in_spin(x: Multivector) -> SpinCertificate:
 
 
 def _certify(x: Multivector):
-    cleared = _numerators(x._terms)
-    exact = cleared is not None
-    for mask, v in x.terms().items():
-        if blade_grade(mask) & 1:
-            return SpinCertificate(False, "element has an odd component"), None
-        if exact and not v.is_real():
+    if any(blade_grade(mask) & 1 for mask in x._masks()):
+        return SpinCertificate(False, "element has an odd component"), None
+    if x._float is None:
+        if x._im:
             return SpinCertificate(False, "coefficients are not real"), None
-        if not exact and abs(complex(v).imag) > FLOAT_TOL:
-            return SpinCertificate(False, "coefficients are not real"), None
-    if exact:
-        return _certify_cleared(x.form, cleared)
+        return _certify_cleared(x)
+    if any(abs(_to_complex(v).imag) > FLOAT_TOL for v in x._float.values()):
+        return SpinCertificate(False, "coefficients are not real"), None
     try:
         norm = spin_norm(x)
     except NotScalarNormError:
         return SpinCertificate(False, "norm is not scalar"), None
-    if abs(complex(norm) - 1) > FLOAT_TOL:
+    if abs(_to_complex(norm) - 1) > FLOAT_TOL:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
     try:
         matrix = _conjugation_matrix(x)
@@ -211,23 +207,21 @@ def _certify(x: Multivector):
     return SpinCertificate(True), matrix
 
 
-def _certify_cleared(form: QuadraticForm, cleared):
-    """The exact branch of :func:`_certify` for an even element with real
-    coefficients, given as ``cleared = (den, re, {})``: the same checks in
-    the same order, on integers (module docstring)."""
-    den = cleared[0]
+def _certify_cleared(x: Multivector):
+    """The exact branch of :func:`_certify` for an even, real x: the same
+    checks in the same order, on x's integers (module docstring)."""
     try:
-        s0 = _cleared_norm(form, cleared)
+        s0 = _cleared_norm(x)
     except NotScalarNormError:
         return SpinCertificate(False, "norm is not scalar"), None
-    norm = GaussianRational.over(*s0, den * den)
+    norm = GaussianRational.over(*s0, x._den * x._den)
     if norm != 1:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
     try:
-        d, cols = _cleared_columns(form, cleared, s0)
+        d, cols = _cleared_columns(x, s0)
     except NotScalarNormError:
         return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
-    if not _cleared_is_special_orthogonal(cols, d, form.signs):
+    if not _cleared_is_special_orthogonal(cols, d, x.form.signs):
         return SpinCertificate(False, "image is not special orthogonal"), None
     return SpinCertificate(True), _rotation(cols, d)
 
@@ -241,9 +235,8 @@ def _conjugation_matrix(x: Multivector) -> RotationMatrix:
     inverse, whose rounding the float results were produced with.
     """
     form = x.form
-    cleared = _numerators(x._terms)
-    if cleared is not None:
-        d, cols = _cleared_columns(form, cleared, _cleared_norm(form, cleared))
+    if x._float is None:
+        d, cols = _cleared_columns(x, _cleared_norm(x))
         return _rotation(cols, d)
     try:
         alpha_inv = x.inverse().grade_involution()
@@ -252,13 +245,12 @@ def _conjugation_matrix(x: Multivector) -> RotationMatrix:
     pos = form.positive_mask
     cols = []
     for i in range(form.dim):
-        x_ei = Multivector._trusted(form, _times_generator(x._terms, 1 << i, pos))
+        x_ei = Multivector(form, _times_generator(x._float, 1 << i, pos))
         image = x_ei * alpha_inv
         off = image - image.grade_part(1)
         if not _negligible(off):
             raise NotScalarNormError("image of a vector is not a vector")
-        cols.append([float(c.re) if isinstance(c, GaussianRational) else float(complex(c).real)
-                     for c in image.grade_part(1).vector_coords()])
+        cols.append([_to_complex(c).real for c in image.grade_part(1).vector_coords()])
     n = form.dim
     return RotationMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
@@ -270,45 +262,18 @@ def _times_generator(terms: Dict[int, object], bit: int, positive_mask: int) -> 
     return {m ^ bit: -c if (m & sign_mask).bit_count() & 1 else c for m, c in terms.items()}
 
 
-# Gaussian-integer blade maps are pairs (re, im) of dicts blade -> int.
-
-def _reversed(part: Dict[int, int], alpha: bool = False) -> Dict[int, int]:
-    """rev (rev . alpha when ``alpha``) of an integer blade map: a blade of
-    grade k changes sign when k(k-1)/2 (k(k+1)/2) is odd, that is when
-    bit 1 of k (of k + 1) is set."""
-    shift = 1 if alpha else 0
-    return {m: -c if (m.bit_count() + shift) & 2 else c for m, c in part.items()}
-
-
-def _gaussian_product(a, b, positive_mask: int):
-    """(a_re + i a_im)(b_re + i b_im) as four real products, as in
-    ``Multivector.__mul__``; the maps may keep cancelled zeros."""
-    (a_re, a_im), (b_re, b_im) = a, b
-    re: Dict[int, int] = {}
-    im: Dict[int, int] = {}
-    _product(a_re, b_re, positive_mask, re)
-    if a_im or b_im:
-        _product(a_im, b_im, positive_mask, re, -1)
-        _product(a_re, b_im, positive_mask, im)
-        _product(a_im, b_re, positive_mask, im)
-    return re, im
-
-
-def _cleared_norm(form: QuadraticForm, cleared) -> Tuple[int, int]:
-    """s0 = den^2 N(x) for x = X / den given as ``cleared = (den, re, im)``:
-    the (re, im) parts of the scalar entry of rev(alpha(X)) X.
-
-    Raises NotScalarNormError when any other entry is nonzero.
-    """
-    _, re, im = cleared
+def _cleared_norm(x: Multivector) -> Tuple[int, int]:
+    """s0 = den^2 N(x) for an exact x = X / den: the (re, im) parts of the
+    scalar entry of rev(alpha(X)) X; NotScalarNormError if another is nonzero."""
+    re, im = x._re, x._im
     norm = _gaussian_product((_reversed(re, True), _reversed(im, True)), (re, im),
-                             form.positive_mask)
-    if any(v for part in norm for m, v in part.items() if m):
+                             x.form.positive_mask)
+    if any(m for part in norm for m in part):
         raise NotScalarNormError("norm is not scalar; element is outside the Clifford group")
     return norm[0].get(0, 0), norm[1].get(0, 0)
 
 
-def _cleared_columns(form: QuadraticForm, cleared, s0: Tuple[int, int]):
+def _cleared_columns(x: Multivector, s0: Tuple[int, int]):
     """``(d, cols)``: the columns x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 as
     integer lists ``cols[i]`` over one real denominator d (s0 itself when it
     is real, |s0|^2 otherwise, the columns then times conj(s0)).
@@ -316,19 +281,18 @@ def _cleared_columns(form: QuadraticForm, cleared, s0: Tuple[int, int]):
     Raises NotInvertibleError when s0 = 0 and NotScalarNormError when an
     image leaves the vector space or has an imaginary part.
     """
-    _, re, im = cleared
+    re, im = x._re, x._im
     s_re, s_im = s0
     if not (s_re or s_im):
         raise NotInvertibleError("twisting element is not invertible")
-    pos = form.positive_mask
-    n = form.dim
+    pos = x.form.positive_mask
+    n = x.form.dim
     rev = _reversed(re), _reversed(im)
     cols = []
     for i in range(n):
         x_ei = tuple(_times_generator(part, 1 << i, pos) for part in (re, im))
         img_re, img_im = _gaussian_product(x_ei, rev, pos)
-        if any(v for part in (img_re, img_im) for m, v in part.items()
-               if m.bit_count() != 1):
+        if any(m.bit_count() != 1 for part in (img_re, img_im) for m in part):
             raise NotScalarNormError("image of a vector is not a vector")
         c_re = [img_re.get(1 << r, 0) for r in range(n)]
         c_im = [img_im.get(1 << r, 0) for r in range(n)]
@@ -387,9 +351,8 @@ class SpinElement:
             norm = value.grade_involution().reversal() * value
             if not norm.isclose(Multivector.scalar(value.form, 1), FLOAT_TOL):
                 raise
-            as_float = Multivector(value.form, {
-                m: v.to_complex() if isinstance(v, GaussianRational) else v
-                for m, v in value.terms().items()})
+            as_float = Multivector(value.form, {m: v.to_complex()
+                                                for m, v in value.terms().items()})
             return cls(as_float)
 
 

@@ -483,3 +483,154 @@ def test_zero_divisors_are_not_inverted_property(data):
         x.inverse()
     with pytest.raises(ZeroDivisionError):
         x._inverse_by_solving()
+
+
+# ---------------------------------------------------------------------------
+# the integer (den, re, im) representation against a GaussianRational oracle
+# ---------------------------------------------------------------------------
+
+# integers, Fractions and Gaussian rationals with im != 0, over unlike denominators
+_exact_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(GaussianRational, st.fractions(min_value=-3, max_value=3, max_denominator=7),
+              st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool)))
+
+
+def _exact_terms(form, max_terms=5):
+    return st.dictionaries(st.integers(0, (1 << form.dim) - 1), _exact_coefficients,
+                           max_size=max_terms)
+
+
+def _gaussian(terms):
+    """The coefficient map with GaussianRational values, zeros left out."""
+    return {m: GaussianRational.coerce(c) for m, c in terms.items() if c}
+
+
+def _oracle_mul(x, y, form):
+    """Term by term over GaussianRational with blade_product's factors."""
+    acc = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            factor, m = blade_product(a, b, form)
+            acc[m] = acc.get(m, GaussianRational(0)) + factor * ca * cb
+    return {m: c for m, c in acc.items() if c}
+
+
+def _oracle_add(x, y, sign=1):
+    acc = dict(x)
+    for m, c in y.items():
+        acc[m] = acc.get(m, GaussianRational(0)) + sign * c
+    return {m: c for m, c in acc.items() if c}
+
+
+def _oracle_signs(x, negate):
+    return {m: -c if negate(blade_grade(m)) else c for m, c in x.items()}
+
+
+def _oracle_embed(x, source, target):
+    """Each term c e_A as c (e_{i_1} e_n) ... (e_{i_k} e_n), by oracle products."""
+    top = {1 << source.dim: GaussianRational(1)}
+    out = {}
+    for mask, c in x.items():
+        image = {0: c}
+        for i in blade_indices(mask):
+            image = _oracle_mul(image, _oracle_mul({1 << (i - 1): GaussianRational(1)}, top,
+                                                   target), target)
+        out = _oracle_add(out, image)
+    return out
+
+
+def _oracle_versor_inverse(x, form):
+    candidate = _oracle_signs(x, lambda k: (k * (k + 1) // 2) % 2)   # rev(alpha(x))
+    (m, norm), = _oracle_mul(candidate, x, form).items()
+    assert m == 0
+    return {m: c / norm for m, c in candidate.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_representation_matches_the_gaussian_oracle(data):
+    form = data.draw(_forms())
+    tx, ty = data.draw(_exact_terms(form)), data.draw(_exact_terms(form))
+    c = data.draw(_exact_coefficients)
+    x, y = Multivector(form, tx), Multivector(form, ty)
+    gx, gy = _gaussian(tx), _gaussian(ty)
+    assert x.terms() == gx
+    assert (x * y).terms() == _oracle_mul(gx, gy, form)
+    assert (x + y).terms() == _oracle_add(gx, gy)
+    assert (x - y).terms() == _oracle_add(gx, gy, -1)
+    assert (-x).terms() == _oracle_signs(gx, lambda k: True)
+    assert x.reversal().terms() == _oracle_signs(gx, lambda k: (k * (k - 1) // 2) % 2)
+    assert x.grade_involution().terms() == _oracle_signs(gx, lambda k: k % 2)
+    for k in range(form.dim + 1):
+        assert x.grade_part(k).terms() == {m: v for m, v in gx.items() if blade_grade(m) == k}
+    assert [part.terms() for part in x.grade_decompose()] == [
+        {m: v for m, v in gx.items() if blade_grade(m) % 2 == odd} for odd in (0, 1)]
+    scaled = {m: GaussianRational.coerce(c) * v for m, v in gx.items() if c}
+    assert (x * c).terms() == scaled
+    if not isinstance(c, GaussianRational):     # GaussianRational * Multivector is a TypeError
+        assert (c * x).terms() == scaled
+    _canonical_pairs(x * y)
+    if form.dim < 6:
+        last = data.draw(st.sampled_from((1, -1)))
+        target = QuadraticForm(form.dim + 1, tuple(s * last for s in form.signs) + (last,))
+        assert embed_lower(x, target).terms() == _oracle_embed(gx, form, target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inverses_match_the_gaussian_oracle(data):
+    """A versor's inverse from the shortcut and from the linear solve is the
+    oracle's rev(alpha(x)) / N(x); a general element's inverse is checked by
+    an oracle product."""
+    form = data.draw(_forms())
+    x = Multivector.scalar(form, data.draw(_exact_coefficients.filter(bool)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        coords = data.draw(st.lists(_exact_coefficients, min_size=form.dim, max_size=form.dim)
+                           .filter(lambda v: form.value([GaussianRational.coerce(c)
+                                                         for c in v]) != 0))
+        x = x * Multivector.vector(form, coords)
+    want = _oracle_versor_inverse(x.terms(), form)
+    assert x.inverse().terms() == want
+    if form.dim <= 4:
+        assert x._inverse_by_solving().terms() == want
+        terms = data.draw(_exact_terms(form))
+        terms[0] = 1 + sum(abs(g.re) + abs(g.im) for g in _gaussian(terms).values())
+        y = Multivector(form, terms)
+        for inv in (y.inverse(), y._inverse_by_solving()):
+            assert _oracle_mul(_gaussian(terms), inv.terms(), form) == {0: GaussianRational(1)}
+
+
+def test_unreduced_denominators_compare_and_hash_by_value():
+    half_times_two = Multivector.scalar(E3, Fraction(1, 2)) * Multivector.scalar(E3, 2)
+    one = Multivector.scalar(E3, 1)
+    assert half_times_two == one and hash(half_times_two) == hash(one)
+    assert half_times_two.terms() == {0: GaussianRational(1)}
+    z = Multivector(E3, {0: GaussianRational(Fraction(1, 3), Fraction(2, 3)), 0b101: 4})
+    w = Multivector.scalar(E3, Fraction(3, 7)) * z * Multivector.scalar(E3, Fraction(7, 3))
+    assert w == z and hash(w) == hash(z) and w != z * 2
+
+
+def test_products_that_cancel_are_zero():
+    form = QuadraticForm(1, (-1,))                 # e1**2 = +1
+    x = Multivector(form, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    y = Multivector(form, {0: 2, 1: -2})
+    prod = x * y                                   # (1 + e1)(1 - e1) = 0
+    assert prod.is_zero() and prod.terms() == {} and repr(prod) == "0"
+    assert prod == Multivector.zero(form) and hash(prod) == hash(Multivector.zero(form))
+    i = Multivector.scalar(form, GaussianRational(0, 1))
+    assert (i * i + Multivector.scalar(form, 1)).is_zero()
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, -1, -1, -1)])
+def test_defining_relation_inequality_as_in_the_acceptance_criterion(signs):
+    form = QuadraticForm(len(signs), signs)
+    rng = np.random.default_rng(len(signs))
+    for _ in range(20):
+        coords = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in signs]
+        v = Multivector.vector(form, coords)
+        q = form.value(coords)
+        assert not v * v != Multivector.scalar(form, -q)
+        assert v * v != Multivector.scalar(form, -q + Fraction(1, 5))
+        assert v * v != Multivector.scalar(form, GaussianRational(-q, 1))

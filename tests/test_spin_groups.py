@@ -97,9 +97,21 @@ F3, F6, F11 = QuadraticForm.euclidean(3), QuadraticForm.euclidean(6), QuadraticF
     # even, real and N = 1, but not a versor: x e_i rev(x) has an e_i e123456 part
     (Multivector(F6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)}),
      "twisted conjugation leaves the vector space"),
+    # an odd blade is reported first, whatever the order of the terms
+    (Multivector(F3, {0: GaussianRational(0, 1), 1: 1}), "element has an odd component"),
+    (Multivector(F3, {0: GaussianRational(1, 1), 1: 1}), "element has an odd component"),
 ])
 def test_is_in_spin_rejection_reasons(x, reason):
     assert is_in_spin(x) == SpinCertificate(False, reason)
+
+
+def test_mixed_float_and_exact_element_gets_a_float_certificate():
+    mixed = Multivector(F3, {0: 0.6, 0b11: Fraction(4, 5)})
+    assert is_in_spin(mixed) == SpinCertificate(True)
+    rot = covering_map(SpinElement(mixed))
+    assert not rot.is_exact()
+    assert rot.isclose(covering_map(SpinElement(Multivector(F3, {0: 0.6, 0b11: 0.8}))))
+    assert rot.entries == _conjugation_matrix(mixed).entries
 
 
 def test_rotation_matrix_path_rejects_images_that_are_not_real_vectors():
