@@ -1,8 +1,9 @@
-"""The Spin -> SO double cover, exactly and in floats.
+"""The Spin -> SO double cover, exactly.
 
 Rational spin elements (products of Pythagorean unit vectors) give rotation
-matrices with Fraction entries and exact orthogonality; angle-parametrized
-lifts use floats and exhibit the two sheets of the cover.
+matrices with Fraction entries and exact orthogonality.  Angle-parametrized
+lifts are exact rational rotors too (through the half-angle tangent), and
+exhibit the two sheets of the cover: the full turn lifts to exactly -1.
 """
 
 import math
@@ -36,7 +37,7 @@ quarter = lift_rotation(1, 2, theta, form)
 full = lift_rotation(1, 2, 2 * math.pi, form)
 print("\nlift(pi/2)  =", quarter.value)
 print("lift(2 pi)  =", full.value, " -> covers the identity rotation:")
-print(covering_map(full).to_numpy().round(12))
+print(covering_map(full).to_numpy())
 
 # Exact random sampling: products of rational unit vectors land in SO(n)
 # with Fraction-level exactness.

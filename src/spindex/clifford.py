@@ -4,9 +4,9 @@ Elements are stored blade-wise: a blade is a bitmask over the basis vectors
 (bit ``i`` set means ``e_{i+1}`` occurs), which keeps every basis monomial in
 the canonical increasing-index form.  Exact Gaussian-rational coefficients
 are stored as integers over one denominator (see :class:`Multivector`), and
-every exact operation works on those integers.  Float/complex coefficients
-are also accepted for angle-parametrized constructions, in which case
-arithmetic is plain IEEE.
+every operation works on those integers.  Coefficients are exact: any
+``numbers.Rational`` or ``GaussianRational``; a float or complex raises
+TypeError.
 
 Sign convention: generators square to minus their quadratic-form value,
 ``v * v == -q(v)``, so the Euclidean (all ``+1``) form has ``e_i**2 == -1``.
@@ -15,15 +15,15 @@ Sign convention: generators square to minus their quadratic-form value,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exactnum import GaussianRational, realify, solve
+from .exactnum import GaussianRational, _operand, realify, solve
 
 MAX_DIM = 16
 
-Coefficient = Union[GaussianRational, complex, float, int, Fraction]
+Coefficient = Union[GaussianRational, Rational]
 
 
 class FormMismatchError(ValueError):
@@ -143,32 +143,29 @@ class Multivector:
     product's is the product of its operands'); equality cross-multiplies
     and the hash divides out one gcd.  ``GaussianRational`` appears only in
     ``terms()``, ``coefficient()``, ``scalar_part()``, ``vector_coords()``,
-    ``to_json()`` and ``repr``.  An element with any float or complex
-    coefficient keeps its coefficient dict instead (``_float``, exact
-    entries included).  No stored map changes after construction, so
-    instances are safe to share across threads.
+    ``to_json()`` and ``repr``.  A coefficient may be given as any
+    ``numbers.Rational`` or a ``GaussianRational``; a float or complex
+    raises TypeError, since no coefficient is ever rounded.  No stored map
+    changes after construction, so instances are safe to share across
+    threads.
     """
 
-    __slots__ = ("form", "_den", "_re", "_im", "_float")
+    __slots__ = ("form", "_den", "_re", "_im")
 
     def __init__(self, form: QuadraticForm, terms: Dict[int, Coefficient]):
         self.form = form
         limit = 1 << form.dim
-        clean: Dict[int, Coefficient] = {}
-        den = 1                         # 0 once a coefficient is inexact
+        clean: Dict[int, GaussianRational] = {}
+        den = 1
         for mask, value in terms.items():
             if mask >= limit or mask < 0:
                 raise ValueError("blade outside algebra dimension")
-            if isinstance(value, (int, Fraction)):
+            if type(value) is not GaussianRational:
                 value = GaussianRational(value)
             if value:
                 clean[mask] = value
-                den = den and type(value) is GaussianRational and lcm(
-                    den, value.re.denominator, value.im.denominator)
-        if not den:
-            self._den, self._re, self._im, self._float = None, None, None, clean
-            return
-        self._den, self._float = den, None
+                den = lcm(den, value.re.denominator, value.im.denominator)
+        self._den = den
         self._re = {m: v.re.numerator * (den // v.re.denominator)
                     for m, v in clean.items() if v.re}
         self._im = {m: v.im.numerator * (den // v.im.denominator)
@@ -178,7 +175,7 @@ class Multivector:
     def _exact(cls, form: QuadraticForm, den: int, re: Dict[int, int], im: Dict[int, int]):
         """Wrap integer blade maps with no zero entries over ``den > 0``."""
         out = object.__new__(cls)
-        out.form, out._den, out._re, out._im, out._float = form, den, re, im, None
+        out.form, out._den, out._re, out._im = form, den, re, im
         return out
 
     # -- constructors ------------------------------------------------------
@@ -210,33 +207,27 @@ class Multivector:
 
     # -- access --------------------------------------------------------------
 
-    def terms(self) -> Dict[int, Coefficient]:
-        if self._float is not None:
-            return dict(self._float)
+    def terms(self) -> Dict[int, GaussianRational]:
         re, im, den = self._re, self._im, self._den
         return {m: GaussianRational.over(re.get(m, 0), im.get(m, 0), den)
                 for m in ({**re, **im} if im else re)}
 
-    def coefficient(self, mask_or_indices) -> Coefficient:
+    def coefficient(self, mask_or_indices) -> GaussianRational:
         mask = (mask_or_indices if isinstance(mask_or_indices, int)
                 else blade_from_indices(mask_or_indices))
-        if self._float is not None:
-            return self._float.get(mask, GaussianRational(0))
         return GaussianRational.over(self._re.get(mask, 0), self._im.get(mask, 0), self._den)
 
-    def scalar_part(self) -> Coefficient:
+    def scalar_part(self) -> GaussianRational:
         return self.coefficient(0)
 
     def grade_part(self, k: int) -> "Multivector":
         return self._map_parts(lambda part: {m: v for m, v in part.items() if m.bit_count() == k})
 
     def _masks(self):
-        if self._float is not None:
-            return self._float.keys()
         return self._re.keys() | self._im.keys()
 
     def is_zero(self) -> bool:
-        return not (self._float or self._re or self._im)
+        return not (self._re or self._im)
 
     def is_scalar(self) -> bool:
         return all(m == 0 for m in self._masks())
@@ -244,7 +235,7 @@ class Multivector:
     def is_vector(self) -> bool:
         return all(blade_grade(m) == 1 for m in self._masks())
 
-    def vector_coords(self) -> List[Coefficient]:
+    def vector_coords(self) -> List[GaussianRational]:
         if not self.is_vector():
             raise ValueError("not a pure 1-vector")
         return [self.coefficient(1 << i) for i in range(self.form.dim)]
@@ -258,8 +249,6 @@ class Multivector:
     def _map_parts(self, fn, form: Optional[QuadraticForm] = None) -> "Multivector":
         """Apply ``fn``, a blade-dict map making no entry zero, to each stored map."""
         form = self.form if form is None else form
-        if self._float is not None:
-            return Multivector(form, fn(self._float))
         return Multivector._exact(form, self._den, fn(self._re), fn(self._im))
 
     def __add__(self, other):
@@ -273,17 +262,11 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_form(other)
-        if self._float is None and other._float is None:
-            da, db = self._den, other._den
-            den = lcm(da, db)
-            fa, fb = den // da, sign * (den // db)
-            return Multivector._exact(self.form, den, _combined(self._re, fa, other._re, fb),
-                                      _combined(self._im, fa, other._im, fb))
-        acc = self.terms()
-        for m, v in other.terms().items():
-            acc[m] = ((acc[m] + v if sign > 0 else acc[m] - v) if m in acc
-                      else v if sign > 0 else -v)
-        return Multivector(self.form, acc)
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return Multivector._exact(self.form, den, _combined(self._re, fa, other._re, fb),
+                                  _combined(self._im, fa, other._im, fb))
 
     def __neg__(self):
         return self._map_parts(lambda part: {m: -v for m, v in part.items()})
@@ -292,15 +275,10 @@ class Multivector:
         if not isinstance(other, Multivector):
             return self._scale(other)
         self._check_form(other)
-        if self._float is None and other._float is None:
-            return self._times(other)
-        # inexact coefficients: plain float arithmetic term by term
-        acc: Dict[int, Coefficient] = {}
-        _product(self.terms(), other.terms(), self.form.positive_mask, acc)
-        return Multivector(self.form, acc)
+        return self._times(other)
 
     def _times(self, other: "Multivector") -> "Multivector":
-        """The product of two exact elements, on their integer maps."""
+        """The product on the integer maps, with no form check."""
         return Multivector._exact(self.form, self._den * other._den, *_gaussian_product(
             (self._re, self._im), (other._re, other._im), self.form.positive_mask))
 
@@ -309,37 +287,22 @@ class Multivector:
         return self._scale(other)
 
     def _scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational(c)
-        elif not isinstance(c, (GaussianRational, float, complex)):
+        c = _operand(c)
+        if c is NotImplemented:
             return NotImplemented
-        if self._float is None and type(c) is GaussianRational:
-            return self._times(Multivector.scalar(self.form, c))
-        return Multivector(self.form, {m: c * v for m, v in self.terms().items()})
+        return self._times(Multivector.scalar(self.form, c))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
         if self.form != other.form:
             return False
-        if self._float is not None or other._float is not None:
-            return self.terms() == other.terms()
         da, db = self._den, other._den
         # a / da == b / db blade by blade, on the same blades
         return all(a.keys() == b.keys() and all(v * db == b[m] * da for m, v in a.items())
                    for a, b in ((self._re, other._re), (self._im, other._im)))
 
-    def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        """Termwise comparison with tolerance (for float-coefficient paths)."""
-        if self.form != other.form:
-            return False
-        a, b = self.terms(), other.terms()
-        return all(abs(_to_complex(a.get(m, 0)) - _to_complex(b.get(m, 0))) <= tol
-                   for m in a.keys() | b.keys())
-
     def __hash__(self):
-        if self._float is not None:
-            return hash((self.form, frozenset(self._float.items())))
         g = gcd(self._den, *self._re.values(), *self._im.values())
         return hash((self.form, self._den // g,
                      frozenset((m, v // g) for m, v in self._re.items()),
@@ -367,17 +330,13 @@ class Multivector:
         """Multiplicative inverse.
 
         Tries the Clifford-group shortcut rev(alpha(x)) / N(x) first and falls
-        back to solving the left-multiplication linear system exactly.  For
-        float coefficients the shortcut also takes an N(x) whose non-scalar
-        part is rounding residue, within 1e-12 of its scalar part.
+        back to solving the left-multiplication linear system exactly.
         """
         candidate = self._map_parts(lambda part: _reversed(part, True))
         norm = candidate * self
         # a left inverse in a finite-dimensional algebra is two-sided, so a
         # scalar nonzero norm already certifies the shortcut
         if norm.is_scalar() and not norm.is_zero():
-            if self._float is not None:
-                return candidate * (1 / norm.scalar_part())
             # candidate = C / d and N(x) = s / d^2, so x^-1 = C d conj(s) / |s|^2,
             # taken here over |s|^2 / g with g = gcd(Re s, Im s)
             s_re, s_im = norm._re.get(0, 0), norm._im.get(0, 0)
@@ -386,30 +345,10 @@ class Multivector:
             den = (s_re * s_re + s_im * s_im) // g
             return Multivector._exact(self.form, den, *_gaussian_product(
                 (candidate._re, candidate._im), factor, self.form.positive_mask))
-        if norm._float is not None:
-            scalar = _to_complex(norm.scalar_part())
-            residue = max(abs(_to_complex(v)) for m, v in norm._float.items() if m)
-            if residue <= 1e-12 * abs(scalar):
-                return candidate * (1.0 / scalar)
         return self._inverse_by_solving()
 
     def _inverse_by_solving(self) -> "Multivector":
-        n = self.form.dim
-        size = 1 << n
-        if self._float is not None:
-            import numpy as np
-            mat = np.zeros((size, size), dtype=complex)
-            for col in range(size):
-                prod = self * Multivector(self.form, {col: 1.0 + 0.0j})
-                for m, v in prod.terms().items():
-                    mat[m, col] = complex(v)
-            rhs = np.zeros(size, dtype=complex)
-            rhs[0] = 1.0
-            try:
-                sol = np.linalg.solve(mat, rhs)
-            except np.linalg.LinAlgError:
-                raise ZeroDivisionError("multivector is not invertible")
-            return Multivector(self.form, {m: sol[m] for m in range(size)})
+        size = 1 << self.form.dim
         # left multiplication by self = (re + i*im) / den; column col of
         # each integer part is that part times e_col
         parts = []
@@ -431,12 +370,8 @@ class Multivector:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = []
-        for m, v in sorted(self.terms().items()):
-            if not isinstance(v, GaussianRational):
-                v = GaussianRational(Fraction(complex(v).real), Fraction(complex(v).imag))
-            terms.append({"blade": list(blade_indices(m)),
-                          "re": str(v.re), "im": str(v.im)})
+        terms = [{"blade": list(blade_indices(m)), "re": str(v.re), "im": str(v.im)}
+                 for m, v in sorted(self.terms().items())]
         return {"dim": self.form.dim, "signs": list(self.form.signs), "terms": terms}
 
     @classmethod
@@ -459,10 +394,6 @@ class Multivector:
         return " + ".join(parts)
 
 
-def _to_complex(c) -> complex:
-    return c.to_complex() if isinstance(c, GaussianRational) else complex(c)
-
-
 def _nonzero(part: Dict[int, int]) -> Dict[int, int]:
     return {m: v for m, v in part.items() if v}
 
@@ -475,7 +406,7 @@ def _combined(a: Dict[int, int], fa: int, b: Dict[int, int], fb: int) -> Dict[in
     return _nonzero(acc)
 
 
-def _reversed(part: Dict[int, Coefficient], alpha: bool = False) -> Dict[int, Coefficient]:
+def _reversed(part: Dict[int, int], alpha: bool = False) -> Dict[int, int]:
     """rev (rev . alpha when ``alpha``) of a blade map: a blade of grade k
     changes sign when k(k-1)/2 (k(k+1)/2) is odd, that is when bit 1 of k
     (of k + 1) is set."""
@@ -483,10 +414,10 @@ def _reversed(part: Dict[int, Coefficient], alpha: bool = False) -> Dict[int, Co
     return {m: -c if (m.bit_count() + shift) & 2 else c for m, c in part.items()}
 
 
-def _product(a: Dict[int, Coefficient], b: Dict[int, Coefficient],
-             positive_mask: int, acc: Dict[int, Coefficient], sign: int = 1) -> None:
-    """Add ``sign * a * b`` for multivectors given as blade -> coefficient
-    dicts into ``acc`` (cancelled coefficients stay as zeros)."""
+def _product(a: Dict[int, int], b: Dict[int, int],
+             positive_mask: int, acc: Dict[int, int], sign: int = 1) -> None:
+    """Add ``sign * a * b`` for multivectors given as integer blade maps
+    into ``acc`` (cancelled coefficients stay as zeros)."""
     right = [(mb, _sign_mask(mb, positive_mask), sign * vb) for mb, vb in b.items()]
     for ma, va in a.items():
         for mb, mask, vb in right:
@@ -678,9 +609,8 @@ def classify_complex(n: int, verify: bool = True) -> AlgebraType:
 
 
 def _blade_image_trace(mask: int, gens) -> complex:
-    import numpy as np
     img = None
     for i in range(mask.bit_length()):
         if mask >> i & 1:
             img = gens[i].copy() if img is None else img @ gens[i]
-    return complex(np.trace(img))
+    return complex(img.trace())

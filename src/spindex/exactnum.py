@@ -4,7 +4,8 @@ Coefficients of multivectors live in Q(i).  A component is stored as an
 ``int`` exactly when it is integral and as a ``fractions.Fraction``
 otherwise, so the common integral case never pays for a gcd.  Real algebras
 simply keep the imaginary part at zero.  All arithmetic is exact; there is
-no rounding anywhere in this module.
+no rounding anywhere in this module, and a float or complex operand raises
+TypeError.
 
 Linear algebra over Q(i) is reduced to one integer routine, the fraction-free
 elimination of Bareiss (Math. Comp. 22 (1968) 565): callers clear
@@ -16,17 +17,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Number, Rational
 from typing import List, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
 
-def _canon(x: RationalLike) -> RationalLike:
-    """x as an int when integral, else as a Fraction."""
+def _canon(x: Rational) -> RationalLike:
+    """x as an int when integral, else as a Fraction; TypeError for a number
+    that is not an exact rational (a float or a complex)."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        if not isinstance(x, Rational):
+            raise TypeError(f"{type(x).__name__} is not exact: "
+                            "use int, Fraction or GaussianRational")
+        # int(): a numpy integer would otherwise overflow in later products
+        x = Fraction(int(x.numerator), int(x.denominator))
     return x.numerator if x.denominator == 1 else x
 
 
@@ -45,12 +52,24 @@ def _make(re: RationalLike, im: RationalLike) -> "GaussianRational":
     return z
 
 
+def _operand(value):
+    """``value`` as a GaussianRational for exact arithmetic, NotImplemented
+    when it is not a number (so that the other operand's method runs), and
+    TypeError when it is an inexact number."""
+    if type(value) is GaussianRational:
+        return value
+    return GaussianRational(value) if isinstance(value, Number) else NotImplemented
+
+
 class GaussianRational:
-    """A number a + b*i with exact rational a, b (each an int when integral)."""
+    """A number a + b*i with exact rational a, b (each an int when integral).
+
+    The parts may be given as any ``numbers.Rational`` (int, Fraction, a
+    numpy integer); a float or complex raises TypeError."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __init__(self, re: Rational = 0, im: Rational = 0):
         self.re = _canon(re)
         self.im = _canon(im)
 
@@ -63,13 +82,7 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if type(value) is GaussianRational:
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        if isinstance(value, complex):
-            raise TypeError("floating complex is not exact; build from Fraction")
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+        return value if type(value) is GaussianRational else cls(value)
 
     @classmethod
     def parse(cls, re_str: str, im_str: str = "0") -> "GaussianRational":
@@ -80,30 +93,29 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (float, complex)):
-                return self.to_complex() + other
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _make(_canon(self.re + other.re), _canon(self.im + other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (float, complex)):
-                return self.to_complex() - other
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _make(_canon(self.re - other.re), _canon(self.im - other.im))
 
     def __rsub__(self, other):
-        if isinstance(other, (float, complex)):
-            return other - self.to_complex()
-        return GaussianRational.coerce(other) - self
+        other = _operand(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (float, complex)):
-                return self.to_complex() * other
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.im and not other.im:
             return _make(_canon(self.re * other.re), 0)
         return _make(
@@ -115,9 +127,9 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (float, complex)):
-                return self.to_complex() / other
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -128,9 +140,8 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        if isinstance(other, (float, complex)):
-            return other / self.to_complex()
-        return GaussianRational.coerce(other) / self
+        other = _operand(other)
+        return other if other is NotImplemented else other / self
 
     def __neg__(self):
         return _make(-self.re, -self.im)
@@ -146,7 +157,7 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if type(other) is GaussianRational:
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.im == 0 and self.re == other
         return NotImplemented
 
@@ -155,9 +166,6 @@ class GaussianRational:
 
     def is_real(self) -> bool:
         return self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self) -> str:
         if self.im == 0:

@@ -2,9 +2,10 @@
 
 Group elements are even multivectors of unit norm acting on vectors by the
 twisted conjugation x v alpha(x)^-1; the induced matrix on the generators is
-the double-covered rotation.  Exact rational elements (built from Pythagorean
-unit vectors) keep the whole pipeline exact; angle-parametrized lifts use
-floats with a 1e-12 working tolerance.
+the double-covered rotation.  Every element, rotation matrix and Spin^c phase
+is exact: rational elements come from Pythagorean unit vectors, and
+:func:`lift_rotation` turns an angle into an exact rational rotor through
+the half-angle tangent, so no tolerance enters anywhere.
 
 Norm convention: N(x) = rev(alpha(x)) * x, one of the scalar-factor choices;
 documented here once rather than claimed canonical.
@@ -30,14 +31,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple, Union
+from numbers import Rational
+from typing import Dict, List, Optional, Tuple
 
 from . import exactnum
 from .clifford import (GaussianRational, Multivector, QuadraticForm,
-                       _gaussian_product, _reversed, _sign_mask, _to_complex,
-                       blade_grade)
-
-FLOAT_TOL = 1e-12
+                       _gaussian_product, _reversed, _sign_mask, blade_from_indices)
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -61,22 +60,12 @@ def twisted_conjugation(x: Multivector, v: Multivector) -> Multivector:
     return x * v * inv.grade_involution()
 
 
-def spin_norm(x: Multivector) -> Union[GaussianRational, complex]:
+def spin_norm(x: Multivector) -> GaussianRational:
     """N(x) = rev(alpha(x)) * x, which is scalar on the Clifford group."""
     prod = x.grade_involution().reversal() * x
-    scalar = prod.scalar_part()
-    rest = prod - Multivector.scalar(x.form, scalar)
-    if not _negligible(rest):
+    if not prod.is_scalar():
         raise NotScalarNormError("norm is not scalar; element is outside the Clifford group")
-    return scalar
-
-
-def _negligible(x: Multivector) -> bool:
-    """Zero, or (for an inexact x) every float coefficient within FLOAT_TOL."""
-    if x._float is None:
-        return x.is_zero()
-    return all(not v if isinstance(v, GaussianRational) else abs(complex(v)) <= FLOAT_TOL
-               for v in x._float.values())
+    return prod.scalar_part()
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +74,17 @@ def _negligible(x: Multivector) -> bool:
 
 @dataclass(frozen=True)
 class RotationMatrix:
-    """Square matrix with Fraction (exact path) or float entries."""
+    """Square matrix with exact rational (Fraction) entries."""
 
-    entries: Tuple[Tuple[Union[Fraction, float], ...], ...]
+    entries: Tuple[Tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if not all(isinstance(e, Rational) for row in self.entries for e in row):
+            raise TypeError("rotation matrix entries must be exact: use Fraction")
 
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def is_exact(self) -> bool:
-        return all(isinstance(e, Fraction) for row in self.entries for e in row)
 
     def to_numpy(self):
         import numpy as np
@@ -103,42 +93,18 @@ class RotationMatrix:
     def column(self, j: int):
         return tuple(row[j] for row in self.entries)
 
-    def determinant(self) -> Union[Fraction, float]:
-        if self.is_exact():
-            return exactnum.det(self.entries)
-        import numpy as np
-        return float(np.linalg.det(self.to_numpy()))
+    def determinant(self) -> Fraction:
+        return exactnum.det(self.entries)
 
     def is_special_orthogonal(self, form: QuadraticForm) -> bool:
-        """M^T Q M == Q and det M == +1 (exactly when entries are exact)."""
-        n = self.dim
-        if self.is_exact():
-            den = lcm(*(e.denominator for row in self.entries for e in row))
-            cols = [[e.numerator * (den // e.denominator) for e in self.column(j)]
-                    for j in range(n)]
-            return _cleared_is_special_orthogonal(cols, den, form.signs)
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for r in range(n):
-                    acc += self.entries[r][i] * form.signs[r] * self.entries[r][j]
-                target = form.signs[i] if i == j else 0
-                if abs(acc - target) > FLOAT_TOL:
-                    return False
-        return abs(self.determinant() - 1.0) <= FLOAT_TOL
+        """M^T Q M == Q and det M == +1, exactly."""
+        den = lcm(*(e.denominator for row in self.entries for e in row))
+        cols = [[e.numerator * (den // e.denominator) for e in self.column(j)]
+                for j in range(self.dim)]
+        return _cleared_is_special_orthogonal(cols, den, form.signs)
 
     def to_json(self) -> dict:
-        if self.is_exact():
-            rows = [[str(e) for e in row] for row in self.entries]
-        else:
-            rows = [[float(e) for e in row] for row in self.entries]
-        return {"dim": self.dim, "rows": rows}
-
-    def isclose(self, other: "RotationMatrix") -> bool:
-        return self.dim == other.dim and all(
-            abs(float(a) - float(b)) <= FLOAT_TOL
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb))
+        return {"dim": self.dim, "rows": [[str(e) for e in row] for row in self.entries]}
 
 
 def _cleared_is_special_orthogonal(cols: List[List[int]], den: int, signs) -> bool:
@@ -182,34 +148,12 @@ def is_in_spin(x: Multivector) -> SpinCertificate:
 
 
 def _certify(x: Multivector):
-    if any(blade_grade(mask) & 1 for mask in x._masks()):
+    """``(certificate, matrix)``: the checks of :func:`is_in_spin` in order,
+    on x's integers (module docstring); the matrix is None on a failure."""
+    if any(mask.bit_count() & 1 for mask in x._masks()):
         return SpinCertificate(False, "element has an odd component"), None
-    if x._float is None:
-        if x._im:
-            return SpinCertificate(False, "coefficients are not real"), None
-        return _certify_cleared(x)
-    if any(abs(_to_complex(v).imag) > FLOAT_TOL for v in x._float.values()):
+    if x._im:
         return SpinCertificate(False, "coefficients are not real"), None
-    try:
-        norm = spin_norm(x)
-    except NotScalarNormError:
-        return SpinCertificate(False, "norm is not scalar"), None
-    if abs(_to_complex(norm) - 1) > FLOAT_TOL:
-        return SpinCertificate(False, f"norm is {norm}, not 1"), None
-    try:
-        matrix = _conjugation_matrix(x)
-    except NotInvertibleError:
-        return SpinCertificate(False, "element is not invertible"), None
-    except NotScalarNormError:
-        return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
-    if not matrix.is_special_orthogonal(x.form):
-        return SpinCertificate(False, "image is not special orthogonal"), None
-    return SpinCertificate(True), matrix
-
-
-def _certify_cleared(x: Multivector):
-    """The exact branch of :func:`_certify` for an even, real x: the same
-    checks in the same order, on x's integers (module docstring)."""
     try:
         s0 = _cleared_norm(x)
     except NotScalarNormError:
@@ -229,33 +173,15 @@ def _certify_cleared(x: Multivector):
 def _conjugation_matrix(x: Multivector) -> RotationMatrix:
     """Matrix of v -> x v alpha(x)^-1 on the generators.
 
-    For exact x the column i is x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 with
-    X = den x integral and s0 = den^2 N(x) (derived in the module
-    docstring), computed on integers.  Float elements keep the general
-    inverse, whose rounding the float results were produced with.
+    Column i is x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 with X = den x
+    integral and s0 = den^2 N(x) (derived in the module docstring), computed
+    on integers.
     """
-    form = x.form
-    if x._float is None:
-        d, cols = _cleared_columns(x, _cleared_norm(x))
-        return _rotation(cols, d)
-    try:
-        alpha_inv = x.inverse().grade_involution()
-    except ZeroDivisionError as exc:
-        raise NotInvertibleError("twisting element is not invertible") from exc
-    pos = form.positive_mask
-    cols = []
-    for i in range(form.dim):
-        x_ei = Multivector(form, _times_generator(x._float, 1 << i, pos))
-        image = x_ei * alpha_inv
-        off = image - image.grade_part(1)
-        if not _negligible(off):
-            raise NotScalarNormError("image of a vector is not a vector")
-        cols.append([_to_complex(c).real for c in image.grade_part(1).vector_coords()])
-    n = form.dim
-    return RotationMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    d, cols = _cleared_columns(x, _cleared_norm(x))
+    return _rotation(cols, d)
 
 
-def _times_generator(terms: Dict[int, object], bit: int, positive_mask: int) -> Dict[int, object]:
+def _times_generator(terms: Dict[int, int], bit: int, positive_mask: int) -> Dict[int, int]:
     """The blade map of x e_i (``bit`` = e_i) term by term:
     c e_A e_i = (-1)^popcount(A & sign mask) c e_{A ^ e_i}."""
     sign_mask = _sign_mask(bit, positive_mask)
@@ -337,23 +263,7 @@ class SpinElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpinElement":
-        """Parse a serialized element.
-
-        Floating-point elements round-trip through the fraction-string schema
-        as exact dyadic rationals whose norm is off by an ulp; when the exact
-        reading fails certification and N(x) is within FLOAT_TOL of 1, retry
-        in float arithmetic.  Any other failure is the exact one.
-        """
-        value = Multivector.from_json(data)
-        try:
-            return cls(value)
-        except ValueError:
-            norm = value.grade_involution().reversal() * value
-            if not norm.isclose(Multivector.scalar(value.form, 1), FLOAT_TOL):
-                raise
-            as_float = Multivector(value.form, {m: v.to_complex()
-                                                for m, v in value.terms().items()})
-            return cls(as_float)
+        return cls(Multivector.from_json(data))
 
 
 def covering_map(u: SpinElement) -> RotationMatrix:
@@ -363,12 +273,23 @@ def covering_map(u: SpinElement) -> RotationMatrix:
 
 def lift_rotation(i: int, j: int, theta: float,
                   form: Optional[QuadraticForm] = None) -> SpinElement:
-    """cos(theta/2) + sin(theta/2) e_i e_j, covering the plane rotation
-    e_i -> cos(theta) e_i + sin(theta) e_j.
+    """An exact unit rotor near cos(theta/2) + sin(theta/2) e_i e_j, covering
+    the plane rotation e_i -> cos(theta) e_i + sin(theta) e_j.
 
-    Exact for theta = 0 and theta = 2*pi-multiples up to float cos/sin; the
-    full-turn lift is -1, exhibiting the two-sheeted cover.
+    The rotor is exp(phi e_i e_j) with phi = theta/2.  Split phi = q pi/2 + psi
+    with |psi| <= pi/4, read cos(psi) and sin(psi) off the float cos(phi) and
+    sin(phi), and round the half-angle tangent t = sin(psi) / (1 + cos(psi))
+    to a multiple of 2^-52.  Then
+
+        (e_i e_j)^q ((1 - t^2) + 2t e_i e_j) / (1 + t^2)
+
+    has norm exactly 1, and its coefficients differ from the float cos/sin
+    by about an ulp.  theta = k*pi gives (e_i e_j)^k exactly for |k| <= 3:
+    1, e_i e_j and -1 at theta = 0, pi and 2*pi, the full-turn lift -1
+    exhibiting the two-sheeted cover.
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     if form is None:
         form = QuadraticForm.euclidean(max(i, j))
     if i == j:
@@ -377,78 +298,54 @@ def lift_rotation(i: int, j: int, theta: float,
         raise ValueError("axis out of range")
     if form.signs[i - 1] != 1 or form.signs[j - 1] != 1:
         raise ValueError("plane rotation lift needs positive axes")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if c == int(c) and s == int(s):
-        value = (Multivector.scalar(form, int(c))
-                 + Multivector.blade(form, sorted((i, j)),
-                                     int(s) if i < j else -int(s)))
-    else:
-        value = (Multivector.scalar(form, float(c))
-                 + Multivector.blade(form, sorted((i, j)),
-                                     float(s) if i < j else -float(s)))
-    return SpinElement(value)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    # (cos psi, sin psi) is (c, s) turned back by q quarter turns
+    q, c, s = max(((0, c, s), (1, s, -c), (2, -c, -s), (3, -s, c)), key=lambda e: e[1])
+    den = 1 << 52
+    t = round(s / (1 + c) * den)                 # the tangent is t / den
+    a, b = den * den - t * t, 2 * t * den        # (1 + t^2) exp(psi e_i e_j)
+    for _ in range(q):                           # times e_i e_j, whose square is -1
+        a, b = -b, a
+    norm = den * den + t * t
+    return SpinElement(Multivector(form, {
+        0: Fraction(a, norm),
+        blade_from_indices(sorted((i, j))): Fraction(b if i < j else -b, norm)}))
 
 
 # ---------------------------------------------------------------------------
 # Spin^c
 # ---------------------------------------------------------------------------
 
-Phase = Union[GaussianRational, complex]
-
-
 @dataclass(frozen=True)
 class SpinCElement:
-    """Class of (spin, phase) modulo the simultaneous sign flip.
+    """Class of (spin, phase) modulo the simultaneous sign flip, with an
+    exact phase (a float or complex one raises TypeError).
 
     Canonical representative: phase on the closed upper half circle, with the
     real phases resolved to +1 (built by :func:`spinc_canonicalize`).
     """
 
     spin: SpinElement
-    phase: Phase
+    phase: GaussianRational
+
+    def __post_init__(self):
+        object.__setattr__(self, "phase", GaussianRational.coerce(self.phase))
 
     def __mul__(self, other: "SpinCElement") -> "SpinCElement":
         return spinc_canonicalize(SpinElement(self.spin.value * other.spin.value),
-                                  _phase_mul(self.phase, other.phase))
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinCElement):
-            return NotImplemented
-        if isinstance(self.phase, GaussianRational) != isinstance(other.phase, GaussianRational):
-            return False
-        if isinstance(self.phase, GaussianRational):
-            return self.phase == other.phase and self.spin.value == other.spin.value
-        return (abs(complex(self.phase) - complex(other.phase)) <= FLOAT_TOL
-                and self.spin.value.isclose(other.spin.value, FLOAT_TOL))
+                                  self.phase * other.phase)
 
     def to_json(self) -> dict:
-        if isinstance(self.phase, GaussianRational):
-            phase = {"re": str(self.phase.re), "im": str(self.phase.im)}
-        else:
-            z = complex(self.phase)
-            phase = {"re": z.real, "im": z.imag}
-        return {"spin": self.spin.to_json(), "phase": phase}
+        return {"spin": self.spin.to_json(),
+                "phase": {"re": str(self.phase.re), "im": str(self.phase.im)}}
 
 
-def _phase_mul(a: Phase, b: Phase) -> Phase:
-    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-        return a * b
-    return complex(a if not isinstance(a, GaussianRational) else a.to_complex()) * \
-        complex(b if not isinstance(b, GaussianRational) else b.to_complex())
-
-
-def spinc_canonicalize(u: SpinElement, z: Phase) -> SpinCElement:
+def spinc_canonicalize(u: SpinElement, z: GaussianRational) -> SpinCElement:
     """Deterministic representative of {(u, z), (-u, -z)}."""
-    if isinstance(z, GaussianRational):
-        if z.re * z.re + z.im * z.im != 1:
-            raise ValueError("phase must have unit modulus")
-        flip = z.im < 0 or (z.im == 0 and z.re < 0)
-    else:
-        z = complex(z)
-        if abs(abs(z) - 1.0) > FLOAT_TOL:
-            raise ValueError("phase must have unit modulus")
-        flip = z.imag < -FLOAT_TOL or (abs(z.imag) <= FLOAT_TOL and z.real < 0)
-    if flip:
+    z = GaussianRational.coerce(z)
+    if z.re * z.re + z.im * z.im != 1:
+        raise ValueError("phase must have unit modulus")
+    if z.im < 0 or (z.im == 0 and z.re < 0):
         return SpinCElement(-u, -z)
     return SpinCElement(u, z)
 

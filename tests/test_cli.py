@@ -1,15 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spindex import cli, torus_index
 from spindex.clifford import QuadraticForm
-from spindex.spin_groups import FLOAT_TOL, covering_map, lift_rotation
+from spindex.spin_groups import covering_map, lift_rotation
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -148,16 +149,23 @@ def test_spin_lift_and_cover_round_trip(capsys):
 
 
 def test_spin_lift_and_cover_round_trip_generic_angle(capsys):
-    import math
     theta = math.pi / 3
     code, lifted, _ = run(capsys, "spin-lift", "--i", "1", "--j", "3",
                           "--theta", str(theta), "--dim", "3")
     assert code == 0
     code, out, _ = run(capsys, "spin-cover", "--element", lifted.strip())
     assert code == 0
-    rows = [[float(x) for x in r] for r in json.loads(out)["rows"]]
-    assert abs(rows[0][0] - math.cos(theta)) < 1e-12
-    assert abs(rows[2][0] - math.sin(theta)) < 1e-12
+    rows = [[Fraction(x) for x in r] for r in json.loads(out)["rows"]]
+    assert abs(rows[0][0] - math.cos(theta)) < 1e-15
+    assert abs(rows[2][0] - math.sin(theta)) < 1e-15
+    assert sum(r[0] * r[0] for r in rows) == 1
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_spin_lift_refuses_a_non_finite_angle(capsys, theta):
+    code, out, err = run(capsys, "spin-lift", "--i", "1", "--j", "2", f"--theta={theta}")
+    assert code == 2 and out == ""
+    assert "theta must be finite" in err
 
 
 def test_spin_cover_integral_element_output(capsys):
@@ -187,13 +195,25 @@ def test_spin_cover_reports_the_exact_norm(capsys, terms, norm):
 
 
 def test_spin_cover_certifies_serialized_float_product(capsys):
+    """The product of the lifts of three float angles is exact, so its JSON
+    certifies to the same exact rotation."""
     f4 = QuadraticForm.euclidean(4)
     u = (lift_rotation(1, 2, 0.3, f4) * lift_rotation(2, 3, 1.1, f4)
          * lift_rotation(3, 4, -0.7, f4))
     code, out, _ = run(capsys, "spin-cover", "--element", json.dumps(u.to_json()))
     assert code == 0
-    rows = np.array([[float(x) for x in r] for r in json.loads(out)["rows"]])
-    assert np.max(np.abs(rows - covering_map(u).to_numpy())) <= FLOAT_TOL
+    assert json.loads(out) == covering_map(u).to_json()
+
+
+def test_spin_cover_refuses_a_legacy_float_lift(capsys):
+    """A float lift of pi/2 written as dyadic fractions has a norm an ulp
+    off 1, so it is not a Spin element."""
+    element = json.dumps({"dim": 2, "signs": [1, 1], "terms": [
+        {"blade": [], "im": "0", "re": "6369051672525773/9007199254740992"},
+        {"blade": [1, 2], "im": "0", "re": "1592262918131443/2251799813685248"}]})
+    code, out, err = run(capsys, "spin-cover", "--element", element)
+    assert code == 2 and out == ""
+    assert "not a Spin element: norm is" in err and "not 1" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -238,10 +238,10 @@ def _embed_lower_chain(x, target, generators=None):
 
 
 def test_embed_lower_matches_product_chain_on_every_blade():
-    """Every blade of every signature up to n = 8, with integer, Gaussian
-    rational and float coefficients (43 690 blade images)."""
+    """Every blade of every signature up to n = 8, with integer, rational and
+    Gaussian rational coefficients (43 690 blade images)."""
     coefficients = (GaussianRational(-3), GaussianRational(Fraction(2, 7), Fraction(-5, 3)),
-                    0.3125, -1.5 + 0.25j)
+                    Fraction(5, 16), GaussianRational(Fraction(-3, 2), Fraction(1, 4)))
     count = 0
     for n in range(1, 9):
         for signs in itertools.product((1, -1), repeat=n):
@@ -252,7 +252,6 @@ def test_embed_lower_matches_product_chain_on_every_blade():
             for mask in range(1 << (n - 1)):
                 img = _embed_lower_chain(Multivector(source, {mask: 1}), target, generators)
                 for c in coefficients:
-                    # the chain's float images are complex: compare values
                     assert embed_lower(Multivector(source, {mask: c}), target).terms() \
                         == (img * c).terms()
                 count += 1
@@ -268,10 +267,15 @@ def test_embed_lower_matches_product_chain_on_random_sums(n):
         source = QuadraticForm(n - 1, tuple(s * signs[-1] for s in signs[:-1]))
         x = random_mv(rng, source, terms=6)
         assert embed_lower(x, target) == _embed_lower_chain(x, target)
-        floats = Multivector(source, {m: float(rng.normal()) for m in range(1 << (n - 1))})
-        image, chain = embed_lower(floats, target), _embed_lower_chain(floats, target)
+        # dense, with the unlike denominators that float samples used to bring
+        dense = Multivector(source, {m: Fraction(int(rng.integers(-10 ** 6, 10 ** 6)),
+                                                 int(rng.integers(1, 10 ** 6)))
+                                     for m in range(1 << (n - 1))})
+        image, chain = embed_lower(dense, target), _embed_lower_chain(dense, target)
         assert image.terms() == chain.terms()
-        assert all(type(v) is float for v in image.terms().values())
+        assert len(image.terms()) == len(dense.terms())
+    with pytest.raises(TypeError, match="Fraction"):
+        Multivector(source, {0: float(rng.normal())})
 
 
 def test_embed_lower_sign_compatibility():
@@ -344,20 +348,45 @@ def test_inverse_round_trip():
         assert x * x.inverse() == one
 
 
-def test_float_inverse_takes_the_shortcut_past_rounding_residue(monkeypatch):
+def test_lift_product_inverse_takes_the_shortcut(monkeypatch):
     f4 = QuadraticForm.euclidean(4)
     x = (lift_rotation(1, 2, 0.3, f4) * lift_rotation(2, 3, 1.1, f4)
          * lift_rotation(3, 4, -0.7, f4)).value
     norm = x.reversal().grade_involution() * x
-    assert not norm.is_scalar()          # ~1e-17 residue off the scalar blade
+    assert norm == Multivector.scalar(f4, 1)     # exactly: lifts have unit norm
 
     def refuse(self):
         raise AssertionError("dense solve taken")
 
     monkeypatch.setattr(Multivector, "_inverse_by_solving", refuse)
     inv = x.inverse()
-    one = Multivector.scalar(f4, 1.0)
-    assert (x * inv).isclose(one) and (inv * x).isclose(one)
+    one = Multivector.scalar(f4, 1)
+    assert x * inv == one and inv * x == one
+    assert inv == x.reversal()
+
+
+def test_numpy_integer_coefficients_are_exact():
+    form = QuadraticForm.euclidean(2)
+    x = Multivector(form, {0: np.int64(2), 3: 1})
+    assert x * x == Multivector(form, {0: 2, 3: 1}) * Multivector(form, {0: 2, 3: 1})
+    big = Multivector(form, {0: np.int64(2 ** 62)})
+    assert (big * big).scalar_part() == 2 ** 124          # no int64 wrap-around
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, complex(1, 2), np.float64(0.25)])
+def test_inexact_coefficients_raise_a_type_error(value):
+    with pytest.raises(TypeError, match="Fraction"):
+        Multivector(E3, {0: 1, 3: value})
+    x = Multivector.vector(E3, [1, 2, 3])
+    with pytest.raises(TypeError, match="Fraction"):
+        x * value
+
+
+def test_gaussian_rational_scales_from_either_side():
+    x = mv(E3, s=1, e12=Fraction(1, 3), e123=-2)
+    z = GaussianRational(1, 1)
+    assert z * x == x * z == Multivector.scalar(E3, z) * x
+    assert Fraction(1, 2) * x == x * Fraction(1, 2)
 
 
 def test_non_invertible_raises():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,10 +31,42 @@ def test_parse_and_repr():
     assert str(GaussianRational(0, -2)) == "-2i"
 
 
-def test_mixed_float_decays_to_complex():
+def test_mixed_float_raises_a_type_error():
     a = GaussianRational(1, 2)
-    assert a * 0.5 == complex(0.5, 1.0)
-    assert a + 1.0 == complex(2.0, 2.0)
+    for inexact in (0.5, 1.0, complex(0.5, 1.0)):
+        for op in (a.__add__, a.__radd__, a.__sub__, a.__rsub__, a.__mul__,
+                   a.__rmul__, a.__truediv__, a.__rtruediv__):
+            with pytest.raises(TypeError, match="Fraction"):
+                op(inexact)
+    with pytest.raises(TypeError, match="Fraction"):
+        GaussianRational(0.5)
+    # the exact counterparts: 0.5 and 1.0 as Fractions
+    assert a * Fraction(1, 2) == GaussianRational(Fraction(1, 2), 1)
+    assert a + Fraction(1) == GaussianRational(2, 2)
+
+
+def test_any_rational_is_accepted_exactly():
+    big = np.int64(2 ** 62)
+    z = GaussianRational(big, np.int32(-3))
+    assert z == GaussianRational(2 ** 62, -3)
+    assert type(z.re) is int and type(z.im) is int
+    # no int64 overflow in later products
+    assert (z * z).re == 2 ** 124 - 9
+    assert GaussianRational(1) * np.int64(3) == 3
+    assert GaussianRational(1) == np.int64(1)
+
+
+def test_unknown_operands_are_left_to_the_other_type():
+    class Other:
+        def __radd__(self, other):
+            return "radd"
+
+        def __rmul__(self, other):
+            return "rmul"
+
+    assert GaussianRational(1) + Other() == "radd"
+    assert GaussianRational(1) * Other() == "rmul"
+    assert GaussianRational(1).__truediv__(Other()) is NotImplemented
 
 
 def test_division_by_zero():

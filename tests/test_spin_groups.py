@@ -4,9 +4,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindex.clifford import GaussianRational, Multivector, QuadraticForm
-from spindex.spin_groups import (FLOAT_TOL, NotScalarNormError, RotationMatrix,
+from spindex.spin_groups import (NotScalarNormError, RotationMatrix, SpinCElement,
                                  SpinCertificate, SpinElement, _certify, _conjugation_matrix,
                                  covering_map,
                                  is_in_spin, lift_rotation,
@@ -105,13 +107,27 @@ def test_is_in_spin_rejection_reasons(x, reason):
     assert is_in_spin(x) == SpinCertificate(False, reason)
 
 
-def test_mixed_float_and_exact_element_gets_a_float_certificate():
-    mixed = Multivector(F3, {0: 0.6, 0b11: Fraction(4, 5)})
+def test_mixed_float_and_exact_element_raises_a_type_error():
+    with pytest.raises(TypeError, match="Fraction"):
+        Multivector(F3, {0: 0.6, 0b11: Fraction(4, 5)})
+    # the exact counterpart: 0.6 as 3/5, mixed with an int-valued Fraction
+    mixed = Multivector(F3, {0: Fraction(3, 5), 0b11: Fraction(4, 5), 0b101: 0})
     assert is_in_spin(mixed) == SpinCertificate(True)
     rot = covering_map(SpinElement(mixed))
-    assert not rot.is_exact()
-    assert rot.isclose(covering_map(SpinElement(Multivector(F3, {0: 0.6, 0b11: 0.8}))))
     assert rot.entries == _conjugation_matrix(mixed).entries
+    assert rot.entries[0][:2] == (Fraction(-7, 25), Fraction(-24, 25))
+
+
+def test_rotation_matrices_and_phases_are_exact():
+    with pytest.raises(TypeError, match="Fraction"):
+        RotationMatrix(((0.6, -0.8), (0.8, 0.6)))
+    u = SpinElement(blade(1, 2))
+    for phase in (1j, complex(0.6, 0.8), -1.0):
+        with pytest.raises(TypeError, match="Fraction"):
+            spinc_canonicalize(u, phase)
+        with pytest.raises(TypeError, match="Fraction"):
+            SpinCElement(u, phase)
+    assert spinc_canonicalize(u, -1).phase == GaussianRational(1)
 
 
 def test_rotation_matrix_path_rejects_images_that_are_not_real_vectors():
@@ -168,12 +184,47 @@ def test_lift_rotation_two_sheets():
     one = Multivector.scalar(F4, 1)
     assert lift_rotation(1, 2, 0.0, F4).value == one
     full = lift_rotation(1, 2, 2 * math.pi, F4)
-    assert full.value.isclose(-one)
-    assert covering_map(full).isclose(covering_map(SpinElement(one)))
-    assert lift_rotation(1, 2, math.pi, F4).value.isclose(blade(1, 2))
+    assert full.value == -one
+    assert covering_map(full).entries == covering_map(SpinElement(one)).entries
+    assert lift_rotation(1, 2, math.pi, F4).value == blade(1, 2)
     theta = 1.37
-    assert lift_rotation(1, 2, theta + 2 * math.pi, F4).value.isclose(
-        -lift_rotation(1, 2, theta, F4).value)
+    # theta + 2 pi is rounded, so the two lifts agree up to the float angle
+    turned = lift_rotation(1, 2, theta + 2 * math.pi, F4).value
+    negated = -lift_rotation(1, 2, theta, F4).value
+    assert max(abs(float((turned - negated).coefficient(m).re)) for m in (0, 0b11)) <= 2e-15
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_lift_rotation_is_exact_at_multiples_of_pi(k):
+    """lift(k pi) = (e1 e2)^k, and e2 e1 = -e1 e2 gives lift(2, 1) its sign."""
+    power = Multivector.scalar(F4, 1)
+    for _ in range(k % 4):
+        power = power * blade(1, 2)
+    assert lift_rotation(1, 2, k * math.pi, F4).value == power
+    assert lift_rotation(2, 1, k * math.pi, F4).value == (-1) ** (k % 2) * power
+
+
+@given(st.floats(-4 * math.pi, 4 * math.pi), st.sampled_from([3, 4]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lift_rotation_covers_exactly_and_near_the_float_rotation(theta, n, data):
+    form = QuadraticForm.euclidean(n)
+    i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+    u = lift_rotation(i, j, theta, form)
+    assert spin_norm(u.value) == 1
+    rot = covering_map(u)
+    assert all(type(e) is Fraction for row in rot.entries for e in row)
+    assert rot.is_special_orthogonal(form)
+    want = np.eye(n)
+    a, b = i - 1, j - 1
+    want[a, a] = want[b, b] = math.cos(theta)
+    want[b, a], want[a, b] = math.sin(theta), -math.sin(theta)
+    assert np.max(np.abs(rot.to_numpy() - want)) <= 2e-15
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_lift_rotation_refuses_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        lift_rotation(1, 2, theta, F4)
 
 
 def test_lift_rotation_orientation_convention():
@@ -208,35 +259,28 @@ def test_kernel_is_exactly_plus_minus_one():
 
 
 def test_negated_float_element_keeps_its_cover():
+    """An element lifted from float angles: its negation keeps the exact cover."""
     u = (lift_rotation(1, 2, 0.3, F4) * lift_rotation(2, 3, 1.1, F4)
          * lift_rotation(3, 4, -0.7, F4))
     neg = -u
     assert neg.value == -u.value
-    recomputed = _conjugation_matrix(-u.value).to_numpy()
-    assert np.max(np.abs(covering_map(neg).to_numpy() - recomputed)) <= FLOAT_TOL
+    assert covering_map(neg).entries == _conjugation_matrix(-u.value).entries
+    assert covering_map(neg).entries == covering_map(u).entries
 
 
 def _conjugation_matrix_by_products(x):
-    """Columns x e_i alpha(x)^-1 from full multivector products; for exact
-    x, NotScalarNormError when an image is not a real vector."""
+    """Columns x e_i alpha(x)^-1 from full multivector products;
+    NotScalarNormError when N(x) is not scalar or an image is not a real
+    vector."""
     form = x.form
-    exact = all(isinstance(v, GaussianRational) for v in x.terms().values())
-    if exact:
-        alpha_inv = x.reversal() * (1 / spin_norm(x))
-    else:
-        alpha_inv = x.inverse().grade_involution()
+    alpha_inv = x.reversal() * (1 / spin_norm(x))
     cols = []
     for i in range(1, form.dim + 1):
         image = x * Multivector.basis_vector(form, i) * alpha_inv
         vector = image.grade_part(1)
-        if exact:
-            if image != vector or any(c.im for c in vector.vector_coords()):
-                raise NotScalarNormError("image is not a real vector")
-            cols.append([Fraction(c.re) for c in vector.vector_coords()])
-        else:
-            assert (image - vector).isclose(Multivector.zero(form), FLOAT_TOL)
-            cols.append([float(c.re) if isinstance(c, GaussianRational)
-                         else float(complex(c).real) for c in vector.vector_coords()])
+        if image != vector or any(c.im for c in vector.vector_coords()):
+            raise NotScalarNormError("image is not a real vector")
+        cols.append([Fraction(c.re) for c in vector.vector_coords()])
     return tuple(tuple(col[r] for col in cols) for r in range(form.dim))
 
 
@@ -292,23 +336,33 @@ def test_conjugation_matrix_matches_full_products(n):
     for _ in range(3):
         signs = tuple(int(s) for s in rng.choice((1, -1), n))
         exact.append(_random_clifford_element(rng, QuadraticForm(n, signs)))
-    floats = []
+    lifts = []
     for _ in range(4):
         u = lift_rotation(1, 2, float(rng.uniform(-3, 3)), form)
         for _ in range(3):
             i, j = (int(k) for k in rng.choice(n, 2, replace=False) + 1)
             u = u * lift_rotation(i, j, float(rng.uniform(-3, 3)), form)
-        floats.append(u.value)
-    floats.append(Multivector.scalar(form, complex(0.6, 0.8)) * floats[0])
-    floats.append(Multivector(form, {m: float(v.re) for m, v in exact[1].terms().items()}))
+        lifts.append(u.value)
+    exact += lifts
+    exact.append(phase * lifts[0])
+    # the dyadic rationals nearest an exact element: N(x) is off by an ulp,
+    # and for n >= 4 not even scalar
+    exact.append(Multivector(form, {m: Fraction(float(v.re))
+                                    for m, v in exact[1].terms().items()}))
     # an odd element, where rev and rev alpha differ
     signs = tuple(int(s) for s in rng.choice((1, -1), n))
     exact.append(_random_clifford_element(rng, QuadraticForm(n, signs), vectors=3))
-    for x in exact + floats:
-        expected = _conjugation_matrix_by_products(x)
-        assert _conjugation_matrix(x).entries == expected
     for x in exact:
-        assert all(type(e) is Fraction for row in _conjugation_matrix(x).entries for e in row)
+        try:
+            expected = _conjugation_matrix_by_products(x)
+        except NotScalarNormError:
+            with pytest.raises(NotScalarNormError):
+                _conjugation_matrix(x)
+        else:
+            entries = _conjugation_matrix(x).entries
+            assert entries == expected
+            assert all(type(e) is Fraction for row in entries for e in row)
+    for x in exact:
         cert, matrix = _certify(x)
         want_cert, want_matrix = _certify_by_products(x)
         assert cert == want_cert
@@ -321,7 +375,7 @@ def test_rotation_matrix_exactness():
     for _ in range(10):
         u = random_spin_element(rng, f5, pairs=2)
         rot = covering_map(u)
-        assert rot.is_exact()
+        assert all(type(e) is Fraction for row in rot.entries for e in row)
         assert rot.is_special_orthogonal(f5)
         assert rot.determinant() == 1
 
@@ -331,7 +385,6 @@ def test_covering_map_of_integral_element_is_exact():
     e12 = Multivector.basis_vector(e3, 1) * Multivector.basis_vector(e3, 2)
     rot = covering_map(SpinElement(e12))
     assert all(type(e) is Fraction for row in rot.entries for e in row)
-    assert rot.is_exact()
     assert rot.to_json() == {"dim": 3, "rows": [["-1", "0", "0"], ["0", "-1", "0"],
                                                 ["0", "0", "1"]]}
 
