@@ -311,6 +311,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLOAT_OPTIONS = ("--theta", "--r", "--mass", "--t0", "--t1")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_floats(argv):
+    """``--theta -1e-3`` as ``--theta=-1e-3``: argparse reads a value that
+    starts with '-' as an option unless it is a plain decimal such as -2 or
+    -0.5, which exponent notation and -inf are not.  An abbreviation that
+    argparse accepts (``--th``) is joined the same way."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (len(prev) > 2 and any(opt.startswith(prev) for opt in _FLOAT_OPTIONS)
+                and arg.startswith("-") and _is_float(arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _ambiguous_errors() -> tuple:
     """The exit-3 error types of the modules loaded so far; a command that
     never imported a module cannot have raised its errors."""
@@ -325,7 +352,7 @@ def _ambiguous_errors() -> tuple:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_floats(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _ambiguous_errors() as exc:

@@ -139,15 +139,16 @@ class Multivector:
 
     An exact element is ``(den, re, im)``: a positive integer ``den`` and two
     ``dict[int, int]`` blade maps with no zero entries, the coefficient of
-    e_m being ``(re[m] + i*im[m]) / den``.  ``den`` is not reduced (a
-    product's is the product of its operands'); equality cross-multiplies
-    and the hash divides out one gcd.  ``GaussianRational`` appears only in
-    ``terms()``, ``coefficient()``, ``scalar_part()``, ``vector_coords()``,
-    ``to_json()`` and ``repr``.  A coefficient may be given as any
-    ``numbers.Rational`` or a ``GaussianRational``; a float or complex
-    raises TypeError, since no coefficient is ever rounded.  No stored map
-    changes after construction, so instances are safe to share across
-    threads.
+    e_m being ``(re[m] + i*im[m]) / den``.  A product or an inverse
+    divides gcd(den, numerators) out, so a chain whose factors cancel keeps
+    small integers; a sum or difference does not, so equality
+    cross-multiplies and the hash divides out one gcd.
+    ``GaussianRational`` appears only in ``terms()``, ``coefficient()``,
+    ``scalar_part()``, ``vector_coords()``, ``to_json()`` and ``repr``.  A
+    coefficient may be given as any ``numbers.Rational`` or a
+    ``GaussianRational``; a float or complex raises TypeError, since no
+    coefficient is ever rounded.  No stored map changes after construction,
+    so instances are safe to share across threads.
     """
 
     __slots__ = ("form", "_den", "_re", "_im")
@@ -177,6 +178,18 @@ class Multivector:
         out = object.__new__(cls)
         out.form, out._den, out._re, out._im = form, den, re, im
         return out
+
+    @classmethod
+    def _reduced(cls, form: QuadraticForm, den: int, re: Dict[int, int], im: Dict[int, int]):
+        """:meth:`_exact` after dividing gcd(den, numerators) out."""
+        if den > 1:
+            g = gcd(den, *re.values(), *im.values())
+            if g > 1:
+                den //= g
+                re = {m: v // g for m, v in re.items()}
+                if im:
+                    im = {m: v // g for m, v in im.items()}
+        return cls._exact(form, den, re, im)
 
     # -- constructors ------------------------------------------------------
 
@@ -243,7 +256,7 @@ class Multivector:
     # -- ring structure ------------------------------------------------------
 
     def _check_form(self, other: "Multivector"):
-        if self.form != other.form:
+        if self.form is not other.form and self.form != other.form:
             raise FormMismatchError("multivectors live in different Clifford algebras")
 
     def _map_parts(self, fn, form: Optional[QuadraticForm] = None) -> "Multivector":
@@ -279,7 +292,7 @@ class Multivector:
 
     def _times(self, other: "Multivector") -> "Multivector":
         """The product on the integer maps, with no form check."""
-        return Multivector._exact(self.form, self._den * other._den, *_gaussian_product(
+        return Multivector._reduced(self.form, self._den * other._den, *_gaussian_product(
             (self._re, self._im), (other._re, other._im), self.form.positive_mask))
 
     def __rmul__(self, other):
@@ -333,18 +346,21 @@ class Multivector:
         back to solving the left-multiplication linear system exactly.
         """
         candidate = self._map_parts(lambda part: _reversed(part, True))
-        norm = candidate * self
+        norm = candidate._times(self)
         # a left inverse in a finite-dimensional algebra is two-sided, so a
         # scalar nonzero norm already certifies the shortcut
         if norm.is_scalar() and not norm.is_zero():
-            # candidate = C / d and N(x) = s / d^2, so x^-1 = C d conj(s) / |s|^2,
-            # taken here over |s|^2 / g with g = gcd(Re s, Im s)
+            # candidate = C / d and N(x) = s / e, e being the norm's own
+            # (reduced) denominator, so x^-1 = C e conj(s) / (d |s|^2),
+            # taken here over d |s|^2 / g with g = gcd(Re s, Im s)
             s_re, s_im = norm._re.get(0, 0), norm._im.get(0, 0)
-            g, d = gcd(s_re, s_im), self._den
-            factor = _nonzero({0: d * s_re // g}), _nonzero({0: -d * s_im // g})
-            den = (s_re * s_re + s_im * s_im) // g
-            return Multivector._exact(self.form, den, *_gaussian_product(
-                (candidate._re, candidate._im), factor, self.form.positive_mask))
+            g, e = gcd(s_re, s_im), norm._den
+            f_re, f_im = e * s_re // g, -e * s_im // g
+            c_re, c_im = candidate._re, candidate._im
+            # C times the scalar f_re + i f_im, term by term
+            return Multivector._reduced(self.form, self._den * ((s_re * s_re + s_im * s_im) // g),
+                                        _combined(c_re, f_re, c_im, -f_im),
+                                        _combined(c_re, f_im, c_im, f_re))
         return self._inverse_by_solving()
 
     def _inverse_by_solving(self) -> "Multivector":
@@ -352,20 +368,18 @@ class Multivector:
         # left multiplication by self = (re + i*im) / den; column col of
         # each integer part is that part times e_col
         parts = []
-        for part in (self._re, self._im):
+        for part in ((self._re, self._im) if self._im else (self._re,)):
             mat = [[0] * size for _ in range(size)]
             for col in range(size):
-                column: Dict[int, int] = {}
-                _product(part, {col: 1}, self.form.positive_mask, column)
-                for m, v in column.items():
+                for m, v in _times_blade(part, col, self.form.positive_mask).items():
                     mat[m][col] = v
             parts.append(mat)
         mat = realify(*parts) if self._im else parts[0]
         y, d = solve(mat, [self._den] + [0] * (len(mat) - 1))
         if d < 0:
             y, d = [-v for v in y], -d
-        return Multivector._exact(self.form, d, _nonzero(dict(enumerate(y[:size]))),
-                                  _nonzero(dict(enumerate(y[size:]))))
+        return Multivector._reduced(self.form, d, _nonzero(dict(enumerate(y[:size]))),
+                                    _nonzero(dict(enumerate(y[size:]))))
 
     # -- serialization ---------------------------------------------------------
 
@@ -414,14 +428,50 @@ def _reversed(part: Dict[int, int], alpha: bool = False) -> Dict[int, int]:
     return {m: -c if (m.bit_count() + shift) & 2 else c for m, c in part.items()}
 
 
-def _product(a: Dict[int, int], b: Dict[int, int],
-             positive_mask: int, acc: Dict[int, int], sign: int = 1) -> None:
-    """Add ``sign * a * b`` for multivectors given as integer blade maps
-    into ``acc`` (cancelled coefficients stay as zeros)."""
-    right = [(mb, _sign_mask(mb, positive_mask), sign * vb) for mb, vb in b.items()]
-    for ma, va in a.items():
-        for mb, mask, vb in right:
+def _times_blade(terms: Dict[int, int], blade: int, positive_mask: int) -> Dict[int, int]:
+    """The blade map of x e_B (``blade`` = B) term by term:
+    c e_A e_B = (-1)^popcount(A & sign mask of B) c e_{A ^ B}."""
+    sign_mask = _sign_mask(blade, positive_mask)
+    return {m ^ blade: -c if (m & sign_mask).bit_count() & 1 else c for m, c in terms.items()}
+
+
+def _right(b: Dict[int, int], positive_mask: int, sign: int = 1) -> List[Tuple[int, int, int]]:
+    """The right factor ``sign * b`` of :func:`_product`: each term of the
+    integer blade map ``b`` as (blade, its sign mask, value)."""
+    return [(mb, _sign_mask(mb, positive_mask), sign * vb) for mb, vb in b.items()]
+
+
+def _product(a: Dict[int, int], right: List[Tuple[int, int, int]], acc: Dict[int, int],
+             symmetric: bool = False) -> None:
+    """Add ``a * b`` for multivectors given as integer blade maps into
+    ``acc`` (cancelled coefficients stay as zeros), with ``right`` =
+    ``_right(b, positive_mask)``.
+
+    ``symmetric`` asks for a reversal-symmetric product over term-aligned
+    factors: a and b have one entry per term of some Z, in Z's order, and
+    the term of (a's j-th entry) (b's k-th entry) is the reversal of the
+    term of (a's k-th) (b's j-th), as for a = Z m, b = rev(Z) with m a
+    vector or scalar.  rev is 1 on grades 0, 1 mod 4 and -1 on grades
+    2, 3 mod 4, so such a pair adds up to twice one term or to zero; only
+    the pairs j <= k are multiplied, the diagonal once, and an off-diagonal
+    pair is skipped on its grade before it is multiplied.
+    """
+    if not symmetric:
+        for ma, va in a.items():
+            for mb, mask, vb in right:
+                m = ma ^ mb
+                t = va * vb
+                acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
+        return
+    for j, (ma, va) in enumerate(a.items()):
+        mb, mask, vb = right[j]
+        m, t = ma ^ mb, va * vb
+        acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
+        va *= 2
+        for mb, mask, vb in right[j + 1:]:
             m = ma ^ mb
+            if m.bit_count() & 2:
+                continue
             t = va * vb
             acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
 
@@ -432,11 +482,12 @@ def _gaussian_product(a, b, positive_mask: int) -> Tuple[Dict[int, int], Dict[in
     (a_re, a_im), (b_re, b_im) = a, b
     re: Dict[int, int] = {}
     im: Dict[int, int] = {}
-    _product(a_re, b_re, positive_mask, re)
+    right_re = _right(b_re, positive_mask)
+    _product(a_re, right_re, re)
     if a_im or b_im:
-        _product(a_im, b_im, positive_mask, re, -1)
-        _product(a_re, b_im, positive_mask, im)
-        _product(a_im, b_re, positive_mask, im)
+        _product(a_im, _right(b_im, positive_mask, -1), re)
+        _product(a_re, _right(b_im, positive_mask), im)
+        _product(a_im, right_re, im)
     return _nonzero(re), _nonzero(im)
 
 

@@ -162,7 +162,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its rational part, so it must hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_real(self) -> bool:
         return self.im == 0

@@ -23,6 +23,33 @@ So one integer product gives s0 and n more give the columns of the cover as
 integers over the single denominator s0; the SO(q) check reads those integers
 (C^T Q C = s0^2 Q and det C = s0^n), and division happens only when the
 final Fraction entries are built.
+
+Each of these products multiplies only half of its term pairs.  rev is an
+anti-automorphism, rev(e_A) = r_A e_A with r_A = (-1)^(k(k-1)/2) on a blade
+of grade k, and rev(e_i) = e_i.  Write X = sum_A x_A e_A.  The pair (A, B)
+of X e_i rev(X) gives the term t_AB = x_A x_B r_B e_A e_i e_B, and
+
+    rev(t_AB) = x_A x_B r_B rev(e_B) e_i rev(e_A) = x_A x_B r_A e_B e_i e_A = t_BA.
+
+The same holds with 1 in place of e_i, for Y rev(Y); with Y = rev(X) that
+is rev(alpha(X)) X for an even X, and minus it for an odd X.  Both t_AB and
+t_BA lie on the blade A ^ B ^ e_i (A ^ B for the norm), of grade k say,
+where rev is the sign (-1)^(k(k-1)/2): +1 for k = 0, 1 mod 4 and -1 for
+k = 2, 3 mod 4.  So t_AB + t_BA is 2 t_AB on grades 0, 1 mod 4 and 0 on
+grades 2, 3 mod 4, and the pair loop (``clifford._product`` with
+``symmetric``) takes each pair of terms once, A <= B in the order of X's
+terms: a diagonal pair once, an off-diagonal pair twice or, when its grade
+is 2 or 3 mod 4, not at all, skipped before it is multiplied.  For a
+Gaussian X = R + iI
+the product sym(X) = X e_i rev(X) is bilinear in its two copies of X
+(no complex conjugation enters), so
+
+    sym(X) = sym(R) - sym(I) + i (R e_i rev(I) + I e_i rev(R)),
+    R e_i rev(I) + I e_i rev(R) = sym(R + I) - sym(R) - sym(I),
+
+three halved loops in place of four full products (the same for the norm).
+The integers are those of the full products, so every certificate and
+matrix is too.
 """
 
 from __future__ import annotations
@@ -35,8 +62,9 @@ from numbers import Rational
 from typing import Dict, List, Optional, Tuple
 
 from . import exactnum
-from .clifford import (GaussianRational, Multivector, QuadraticForm,
-                       _gaussian_product, _reversed, _sign_mask, blade_from_indices)
+from .clifford import (GaussianRational, Multivector, QuadraticForm, _combined,
+                       _gaussian_product, _nonzero, _product, _reversed, _right,
+                       _times_blade, blade_from_indices)
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -181,19 +209,42 @@ def _conjugation_matrix(x: Multivector) -> RotationMatrix:
     return _rotation(cols, d)
 
 
-def _times_generator(terms: Dict[int, int], bit: int, positive_mask: int) -> Dict[int, int]:
-    """The blade map of x e_i (``bit`` = e_i) term by term:
-    c e_A e_i = (-1)^popcount(A & sign mask) c e_{A ^ e_i}."""
-    sign_mask = _sign_mask(bit, positive_mask)
-    return {m ^ bit: -c if (m & sign_mask).bit_count() & 1 else c for m, c in terms.items()}
+def _polarized(x: Multivector) -> Tuple[Dict[int, int], ...]:
+    """The maps whose reversal-symmetric products give those of X = R + iI:
+    (R,) for a real X, else (R, I, R + I) (module docstring)."""
+    re, im = x._re, x._im
+    return (re, im, _combined(re, 1, im, 1)) if im else (re,)
+
+
+def _symmetric(lefts, rights) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(re, im) of a reversal-symmetric product of X = R + iI from the
+    term-aligned factors ``lefts[k]`` and ``rights[k]`` (prepared by
+    ``clifford._right``) of the k-th map of ``_polarized(x)``: sym(R) -
+    sym(I) and sym(R + I) - sym(R) - sym(I), zero entries left out."""
+    sym = []
+    for a, right in zip(lefts, rights):
+        acc: Dict[int, int] = {}
+        _product(a, right, acc, symmetric=True)
+        sym.append(acc)
+    if len(sym) == 1:
+        return _nonzero(sym[0]), {}
+    r, i, both = sym
+    return _combined(r, 1, i, -1), _combined(_combined(both, 1, r, -1), 1, i, -1)
 
 
 def _cleared_norm(x: Multivector) -> Tuple[int, int]:
     """s0 = den^2 N(x) for an exact x = X / den: the (re, im) parts of the
-    scalar entry of rev(alpha(X)) X; NotScalarNormError if another is nonzero."""
+    scalar entry of rev(alpha(X)) X; NotScalarNormError if another is nonzero.
+
+    For an even or odd X the product is reversal-symmetric and takes the
+    halved pair loop; an X with both parities takes the full product."""
     re, im = x._re, x._im
-    norm = _gaussian_product((_reversed(re, True), _reversed(im, True)), (re, im),
-                             x.form.positive_mask)
+    pos = x.form.positive_mask
+    if len({m.bit_count() & 1 for m in x._masks()}) > 1:
+        norm = _gaussian_product((_reversed(re, True), _reversed(im, True)), (re, im), pos)
+    else:
+        parts = _polarized(x)
+        norm = _symmetric([_reversed(z, True) for z in parts], [_right(z, pos) for z in parts])
     if any(m for part in norm for m in part):
         raise NotScalarNormError("norm is not scalar; element is outside the Clifford group")
     return norm[0].get(0, 0), norm[1].get(0, 0)
@@ -202,22 +253,23 @@ def _cleared_norm(x: Multivector) -> Tuple[int, int]:
 def _cleared_columns(x: Multivector, s0: Tuple[int, int]):
     """``(d, cols)``: the columns x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 as
     integer lists ``cols[i]`` over one real denominator d (s0 itself when it
-    is real, |s0|^2 otherwise, the columns then times conj(s0)).
+    is real, |s0|^2 otherwise, the columns then times conj(s0)).  Each
+    X e_i rev(X) is reversal-symmetric; rev(X) and its sign masks are built
+    once for all n columns.
 
     Raises NotInvertibleError when s0 = 0 and NotScalarNormError when an
     image leaves the vector space or has an imaginary part.
     """
-    re, im = x._re, x._im
     s_re, s_im = s0
     if not (s_re or s_im):
         raise NotInvertibleError("twisting element is not invertible")
     pos = x.form.positive_mask
     n = x.form.dim
-    rev = _reversed(re), _reversed(im)
+    parts = _polarized(x)
+    rights = [_right(_reversed(z), pos) for z in parts]
     cols = []
     for i in range(n):
-        x_ei = tuple(_times_generator(part, 1 << i, pos) for part in (re, im))
-        img_re, img_im = _gaussian_product(x_ei, rev, pos)
+        img_re, img_im = _symmetric([_times_blade(z, 1 << i, pos) for z in parts], rights)
         if any(m.bit_count() != 1 for part in (img_re, img_im) for m in part):
             raise NotScalarNormError("image of a vector is not a vector")
         c_re = [img_re.get(1 << r, 0) for r in range(n)]

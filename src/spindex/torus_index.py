@@ -591,7 +591,10 @@ class _Overlap:
     +1 space of the modified grading -sign(H_W)); D- = (D+)^* has the same
     singular values; and D^*D = D + D^* (Luscher 1998) is block diagonal in
     gamma, 4 Q+[plus rows] Q+[plus rows]^* on the plus rows and D+ D+^* on
-    the minus rows.
+    the minus rows.  Q+[plus rows] needs no SVD of its own: by the CS
+    decomposition of the orthogonal [Q- Q+] (Paige and Saunders 1981) it
+    has the singular values of Q-[minus rows], up to exact 0s and 1s (see
+    :meth:`zero_mode_chiralities`).
 
     The eigensolve is split and real: ``blocks`` are the real symmetric
     sector blocks W^* H_W W of ``LatticeOperator.sector_blocks`` (H_W
@@ -600,20 +603,18 @@ class _Overlap:
     real ``eigh`` per block gives its real eigenvectors Q_r in ascending
     order of eigenvalue, negative first, so D+ is block diagonal with the
     blocks ``dplus_blocks`` = 2 Q_r[minus rows, negative columns], plain
-    slices, and its singular values are the union of theirs, as are those
-    of Q+[plus rows].  ``minus_rows`` is the number of rows of D+ and
-    ``spectrum`` holds the eigenvalues of H_W, the union over the blocks,
-    in ascending order.  The blocks may come from several operators (a
-    disjoint union)."""
+    slices, and its singular values are the union of theirs.
+    ``minus_rows`` is the number of rows of D+ and ``spectrum`` holds the
+    eigenvalues of H_W, the union over the blocks, in ascending order.  The
+    blocks may come from several operators (a disjoint union)."""
 
     def __init__(self, blocks: Sequence[np.ndarray], minus: Sequence[int]):
-        evals, self.dplus_blocks, self._plus_blocks = [], [], []
+        evals, self.dplus_blocks = [], []
         for block, rows in zip(blocks, minus):
             e, q = np.linalg.eigh(block)
             negative = int(np.searchsorted(e, 0.0))
             evals.append(e)
             self.dplus_blocks.append(2.0 * q[:rows, :negative])
-            self._plus_blocks.append(q[rows:, negative:].copy())
         self.minus_rows = int(sum(minus))
         self.spectrum = np.sort(np.concatenate(evals))
         evals = np.abs(self.spectrum)
@@ -631,14 +632,24 @@ class _Overlap:
 
     def zero_mode_chiralities(self) -> Tuple[int, int]:
         """(plus, minus) counts of D^*D eigenvalues below ZERO_THRESHOLD times
-        the largest: 4 s^2 for the singular values s of Q+[plus rows], sigma^2
-        for those of D+ (each the union over the sectors), each padded with
-        zeros to its block size."""
-        plus = 4.0 * np.concatenate([_singular_values(b) for b in self._plus_blocks]) ** 2
+        the largest, both read off the singular values sigma of D+ (the
+        union over the sectors).
+
+        The minus block D+ D+^* has the eigenvalues sigma^2, padded with
+        zeros to its ``minus_rows`` rows.  The plus block is 4 Q22 Q22^T
+        with Q22 = Q_r[plus rows, positive columns] in each sector, and
+        ker Q22^T = ker Q11 for Q11 = Q_r[minus rows, negative columns] =
+        D+ / 2: for y in ker Q22^T, Q_r^T (0, y) = (Q21^T y, 0) has norm |y|,
+        so Q_r (Q21^T y, 0) = (Q11 Q21^T y, Q21 Q21^T y) = (0, y); and
+        symmetrically.  So the plus count is cols(D+) - rank(D+).  Beyond
+        the kernels, Q11 and Q22 share their singular values in (0, 1) and
+        differ only in how many are exactly 1 (the CS decomposition of Q_r,
+        Paige and Saunders 1981), so an SVD of Q22 would only repeat this
+        one."""
         minus = self.kernels[0].singular_values ** 2
-        thr = ZERO_THRESHOLD * max(plus.max(initial=0.0), minus.max(initial=0.0), 1e-300)
-        return (sum(b.shape[0] for b in self._plus_blocks) - int(np.sum(plus >= thr)),
-                self.minus_rows - int(np.sum(minus >= thr)))
+        above = int(np.sum(minus >= ZERO_THRESHOLD * max(minus.max(initial=0.0), 1e-300)))
+        cols = sum(b.shape[1] for b in self.dplus_blocks)
+        return cols - above, self.minus_rows - above
 
 
 @dataclass(frozen=True)

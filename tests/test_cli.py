@@ -168,6 +168,33 @@ def test_spin_lift_refuses_a_non_finite_angle(capsys, theta):
     assert "theta must be finite" in err
 
 
+@pytest.mark.parametrize("theta", ["-1e-3", "-2.5E+0", "-0.5"])
+def test_spin_lift_reads_a_negative_angle_as_a_separate_value(capsys, theta):
+    code, separate, _ = run(capsys, "spin-lift", "--i", "1", "--j", "2", "--theta", theta)
+    assert code == 0
+    code, attached, _ = run(capsys, "spin-lift", "--i", "1", "--j", "2", f"--theta={theta}")
+    assert code == 0 and separate == attached
+    code, abbreviated, _ = run(capsys, "spin-lift", "--i", "1", "--j", "2", "--th", theta)
+    assert code == 0 and abbreviated == attached
+
+
+def test_spin_lift_refuses_a_separate_negative_infinite_angle(capsys):
+    code, out, err = run(capsys, "spin-lift", "--i", "1", "--j", "2", "--theta", "-inf")
+    assert code == 2 and out == ""
+    assert "theta must be finite" in err
+
+
+def test_spectral_flow_reads_negative_endpoints_in_exponent_notation(capsys):
+    code, out, _ = run(capsys, "spectral-flow", "--t0", "-1e-3", "--t1", "-2e-1")
+    assert code == 0
+    assert json.loads(out) == {"family": "shift", "flow": 0, "t0": -0.001, "t1": -0.2}
+    # an option name after a float option is still read as an option
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["spectral-flow", "--t0", "--t1", "1"])
+    assert exit_info.value.code == 2
+    assert "argument --t0: expected one argument" in capsys.readouterr().err
+
+
 def test_spin_cover_integral_element_output(capsys):
     element = json.dumps({"dim": 3, "signs": [1, 1, 1],
                           "terms": [{"blade": [1, 2], "re": "1", "im": "0"}]})

@@ -636,9 +636,28 @@ def test_unreduced_denominators_compare_and_hash_by_value():
     one = Multivector.scalar(E3, 1)
     assert half_times_two == one and hash(half_times_two) == hash(one)
     assert half_times_two.terms() == {0: GaussianRational(1)}
+    # a sum keeps the lcm of its operands' denominators: 2/2 here
+    half = Multivector.scalar(E3, Fraction(1, 2))
+    assert (half + half)._den == 2
+    assert half + half == one and hash(half + half) == hash(one)
     z = Multivector(E3, {0: GaussianRational(Fraction(1, 3), Fraction(2, 3)), 0b101: 4})
     w = Multivector.scalar(E3, Fraction(3, 7)) * z * Multivector.scalar(E3, Fraction(7, 3))
     assert w == z and hash(w) == hash(z) and w != z * 2
+
+
+def test_products_and_inverses_keep_the_denominator_reduced():
+    x = Multivector(QuadraticForm.euclidean(2), {0: Fraction(3, 5), 0b11: Fraction(4, 5)})
+    inv = x.inverse()
+    y = x
+    for _ in range(30):
+        y = y * (x * inv)
+    # N(x) = 25/25 reduces to den 1, not den(x)^2 = 25, in the inverse shortcut
+    assert y == x and y._den == 5 and inv._den == 5
+    # a rational element with N(z) = 25/4
+    z = Multivector(E3, {0: Fraction(3, 2), 0b11: 2})
+    assert z.inverse().terms() == {0: GaussianRational(Fraction(6, 25)),
+                                   0b11: GaussianRational(Fraction(-8, 25))}
+    assert z.inverse()._den == 25 and z * z.inverse() == Multivector.scalar(E3, 1)
 
 
 def test_products_that_cancel_are_zero():

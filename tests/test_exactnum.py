@@ -99,6 +99,19 @@ def test_over_builds_from_integer_numerators():
     assert GaussianRational.over(3, 0, -3) == GaussianRational(-1)
 
 
+@pytest.mark.parametrize("value", [0, 1, 2, -7, Fraction(3, 5), Fraction(-9, 4), 10 ** 30])
+def test_a_real_value_hashes_like_the_rational_it_equals(value):
+    z = GaussianRational(value)
+    assert z == value and hash(z) == hash(value)
+    assert len({z, value}) == 1
+    assert {value: "found"}[z] == "found"
+
+
+def test_hash_separates_values_with_an_imaginary_part():
+    assert len({GaussianRational(1), GaussianRational(1, 1), GaussianRational(0, 1)}) == 3
+    assert hash(GaussianRational(Fraction(1, 2), 3)) == hash(GaussianRational(Fraction(2, 4), 3))
+
+
 def _cofactor_det(rows):
     if not rows:
         return Fraction(1)

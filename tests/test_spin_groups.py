@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindex.clifford import GaussianRational, Multivector, QuadraticForm
+from spindex.clifford import (GaussianRational, Multivector, QuadraticForm, _gaussian_product,
+                              _reversed, _right, _times_blade)
 from spindex.spin_groups import (NotScalarNormError, RotationMatrix, SpinCElement,
-                                 SpinCertificate, SpinElement, _certify, _conjugation_matrix,
+                                 SpinCertificate, SpinElement, _certify, _cleared_norm,
+                                 _conjugation_matrix, _polarized, _symmetric,
                                  covering_map,
                                  is_in_spin, lift_rotation,
                                  rational_unit_vector, random_spin_element,
@@ -367,6 +369,46 @@ def test_conjugation_matrix_matches_full_products(n):
         want_cert, want_matrix = _certify_by_products(x)
         assert cert == want_cert
         assert (matrix.entries if matrix else None) == want_matrix
+
+
+@st.composite
+def _integer_elements(draw):
+    """An integer blade map X = R + iI (I = 0 or not) in Cl(p, q), n <= 6,
+    even, odd or with both parities, up to every blade of its parity."""
+    n = draw(st.integers(1, 6))
+    form = QuadraticForm(n, tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                                min_size=n, max_size=n))))
+    parity = draw(st.sampled_from((0, 1, None)))
+    blades = [m for m in range(1 << n) if parity is None or m.bit_count() & 1 == parity]
+    part = st.integers(-10 ** 6, 10 ** 6)
+    coefficient = (st.builds(GaussianRational, part, part) if draw(st.booleans()) else part)
+    terms = draw(st.dictionaries(st.sampled_from(blades), coefficient, max_size=len(blades)))
+    return Multivector(form, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_elements())
+def test_symmetric_pair_loop_matches_the_full_products(x):
+    """The halved pair loop gives the full four-product X e_i rev(X) for
+    every e_i, and rev(alpha(X)) X when X is even or odd (module docstring
+    of spin_groups)."""
+    pos = x.form.positive_mask
+    re, im = x._re, x._im
+    parts = _polarized(x)
+    rights = [_right(_reversed(z), pos) for z in parts]
+    for i in range(x.form.dim):
+        x_ei = tuple(_times_blade(p, 1 << i, pos) for p in (re, im))
+        full = _gaussian_product(x_ei, (_reversed(re), _reversed(im)), pos)
+        assert _symmetric([_times_blade(z, 1 << i, pos) for z in parts], rights) == full
+    full = _gaussian_product((_reversed(re, True), _reversed(im, True)), (re, im), pos)
+    if len({m.bit_count() & 1 for m in x._masks()}) < 2:
+        assert _symmetric([_reversed(z, True) for z in parts],
+                          [_right(z, pos) for z in parts]) == full
+    if any(m for p in full for m in p):
+        with pytest.raises(NotScalarNormError):
+            _cleared_norm(x)
+    else:
+        assert _cleared_norm(x) == (full[0].get(0, 0), full[1].get(0, 0))
 
 
 def test_rotation_matrix_exactness():

@@ -219,6 +219,47 @@ def test_overlap_readings_match_dense_oracle(n, d, r, mass):
     assert abs(ker_minus.gap - direct.gap) <= 1e-12 * direct.singular_values[0]
 
 
+def _chiralities_with_a_plus_svd(blocks, minus):
+    """The D^*D counts with the plus block read from its own SVD: 4 s^2 for
+    the singular values s of Q+[plus rows], sigma^2 for those of D+, each
+    padded with zeros to its rows, one threshold on the largest of both."""
+    plus, dplus, plus_rows = [], [], 0
+    for block, rows in zip(blocks, minus):
+        e, q = np.linalg.eigh(block)
+        negative = int(np.searchsorted(e, 0.0))
+        for part, out in ((q[rows:, negative:], plus), (2.0 * q[:rows, :negative], dplus)):
+            out.append(np.linalg.svd(part, compute_uv=False) if min(part.shape) else np.zeros(0))
+        plus_rows += len(block) - rows
+    plus, dplus = 4.0 * np.concatenate(plus) ** 2, np.concatenate(dplus) ** 2
+    thr = ti.ZERO_THRESHOLD * max(plus.max(initial=0.0), dplus.max(initial=0.0), 1e-300)
+    return plus_rows - int(np.sum(plus >= thr)), sum(minus) - int(np.sum(dplus >= thr))
+
+
+def test_chiralities_from_d_plus_match_a_plus_block_svd():
+    """Both counts come from the singular values of D+ alone; an SVD of
+    Q+[plus rows] gives the same counts (CS decomposition), over a sweep
+    with small and large Wilson masses, near-zero modes and gauge copies."""
+    # the last three have near-zero modes that the two readings must both see
+    specs = [(n, d, r, m0) for n in (4, 5, 6, 8)
+             for d in sorted({0, 1, -2, n, -(n * n // 4), n * n // 4 - 1})
+             for r, m0 in ((1.0, 1.0), (1.0, 0.05), (1.0, 0.3), (1.0, 1.7), (1.0, 1.95),
+                           (0.5, 0.3), (0.5, 0.9))]
+    specs += [(8, 13, 1.0, 1.95), (10, -23, 1.0, 1.95), (12, 29, 1.0, 1.95)]
+    checked = 0
+    for n, d, r, m0 in specs:
+        op = build_torus_dirac(FluxBundleSpec(n, d, wilson_r=r, wilson_mass=m0))
+        if d == 1:
+            op = gauge_transform(op, np.random.default_rng(n).uniform(0, 2 * np.pi, (n, n)))
+        blocks, minus = op.sector_blocks()
+        try:
+            ov = ti._Overlap(blocks, minus)
+        except AmbiguousKernelError:
+            continue
+        assert ov.zero_mode_chiralities() == _chiralities_with_a_plus_svd(blocks, minus)
+        checked += 1
+    assert checked >= 150
+
+
 def _monomial_matrix(perm, phase):
     return sp.csr_matrix((phase, (perm, np.arange(len(perm)))), shape=(len(perm),) * 2)
 
