@@ -390,6 +390,20 @@ class Multivector:
 
     @classmethod
     def from_json(cls, data: dict) -> "Multivector":
+        """The element :meth:`to_json` wrote.  ValueError names the field of
+        ``data`` (parsed JSON, so exact types) that is missing or of the
+        wrong type."""
+        if type(data) is not dict:
+            raise ValueError("multivector JSON must be an object")
+        if type(data.get("dim")) is not int:
+            raise ValueError("multivector JSON field 'dim' must be an integer")
+        if type(data.get("signs")) is not list:
+            raise ValueError("multivector JSON field 'signs' must be a list")
+        if type(data.get("terms")) is not list or not all(
+                type(t) is dict and type(t.get("blade")) is list and "re" in t
+                and all(type(i) is int for i in t["blade"]) for t in data["terms"]):
+            raise ValueError("multivector JSON field 'terms' must be a list of objects, "
+                             "each with a 'blade' list of integers and an 're'")
         form = QuadraticForm(data["dim"], tuple(data["signs"]))
         terms = {}
         for t in data["terms"]:

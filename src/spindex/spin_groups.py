@@ -10,19 +10,32 @@ the half-angle tangent, so no tolerance enters anywhere.
 Norm convention: N(x) = rev(alpha(x)) * x, one of the scalar-factor choices;
 documented here once rather than claimed canonical.
 
-Exact elements are certified on integers.  Write x = X / den with X an
-integer (Gaussian) blade map, the ``(den, re, im)`` that ``Multivector``
-stores.  When N(x) is scalar, x^-1 = rev(alpha(x)) / N(x),
-so alpha(x)^-1 = alpha(x^-1) = rev(x) / N(x) (alpha and rev commute and fix
-scalars), and
+Exact elements are certified on integers.  Certification refuses an odd or
+non-real x first, so x = X / den with X a real, even integer blade map, the
+``(den, re)`` that ``Multivector`` stores, and alpha(X) = X.  When N(x) is
+scalar, alpha(x)^-1 = x^-1 = rev(x) / N(x), and
 
     x e_i alpha(x)^-1 = x e_i rev(x) / N(x) = (X e_i rev(X)) / s0,
-    s0 = den^2 N(x) = scalar entry of rev(alpha(X)) X.
+    s0 = den^2 N(x) = scalar entry of rev(X) X.
 
 So one integer product gives s0 and n more give the columns of the cover as
-integers over the single denominator s0; the SO(q) check reads those integers
-(C^T Q C = s0^2 Q and det C = s0^n), and division happens only when the
+integers over the single denominator s0; division happens only when the
 final Fraction entries are built.
+
+A certified x needs no SO(q) check.  Once N(x) = 1 and every
+rho(e_i) = x e_i x^-1 is a vector, rho(v) = x v x^-1 maps V to V, and:
+
+- rho(v)^2 = x v^2 x^-1 = v^2, a scalar; as rho(v) is a vector this reads
+  q(rho(v)) = q(v), so rho preserves q and C^T Q C = s0^2 Q holds as an
+  identity (C = s0 M, the integer columns).
+- x lies in the Clifford group, on which the twisted action has the
+  nonzero scalars as its kernel, and O(q) is generated by reflections,
+  each the action of an anisotropic vector (Cartan-Dieudonne over Q;
+  Lawson-Michelsohn, Ch. I par. 2).  So x = lambda v_1 ... v_k, with k
+  even since x is even: det M = (-1)^k = 1 and det C = s0^n.
+
+:meth:`RotationMatrix.is_special_orthogonal` is the one SO(q) reading, for
+matrices from elsewhere and for the covering-map criterion.
 
 Each of these products multiplies only half of its term pairs.  rev is an
 anti-automorphism, rev(e_A) = r_A e_A with r_A = (-1)^(k(k-1)/2) on a blade
@@ -31,25 +44,16 @@ of X e_i rev(X) gives the term t_AB = x_A x_B r_B e_A e_i e_B, and
 
     rev(t_AB) = x_A x_B r_B rev(e_B) e_i rev(e_A) = x_A x_B r_A e_B e_i e_A = t_BA.
 
-The same holds with 1 in place of e_i, for Y rev(Y); with Y = rev(X) that
-is rev(alpha(X)) X for an even X, and minus it for an odd X.  Both t_AB and
-t_BA lie on the blade A ^ B ^ e_i (A ^ B for the norm), of grade k say,
-where rev is the sign (-1)^(k(k-1)/2): +1 for k = 0, 1 mod 4 and -1 for
-k = 2, 3 mod 4.  So t_AB + t_BA is 2 t_AB on grades 0, 1 mod 4 and 0 on
-grades 2, 3 mod 4, and the pair loop (``clifford._product`` with
-``symmetric``) takes each pair of terms once, A <= B in the order of X's
-terms: a diagonal pair once, an off-diagonal pair twice or, when its grade
-is 2 or 3 mod 4, not at all, skipped before it is multiplied.  For a
-Gaussian X = R + iI
-the product sym(X) = X e_i rev(X) is bilinear in its two copies of X
-(no complex conjugation enters), so
-
-    sym(X) = sym(R) - sym(I) + i (R e_i rev(I) + I e_i rev(R)),
-    R e_i rev(I) + I e_i rev(R) = sym(R + I) - sym(R) - sym(I),
-
-three halved loops in place of four full products (the same for the norm).
-The integers are those of the full products, so every certificate and
-matrix is too.
+The same holds with 1 in place of e_i, for Y rev(Y) with Y = rev(X), which
+is the norm rev(X) X.  Both t_AB and t_BA lie on the blade A ^ B ^ e_i
+(A ^ B for the norm), of grade k say, where rev is the sign
+(-1)^(k(k-1)/2): +1 for k = 0, 1 mod 4 and -1 for k = 2, 3 mod 4.  So
+t_AB + t_BA is 2 t_AB on grades 0, 1 mod 4 and 0 on grades 2, 3 mod 4, and
+the pair loop (``clifford._product`` with ``symmetric``) takes each pair of
+terms once, A <= B in the order of X's terms: a diagonal pair once, an
+off-diagonal pair twice or, when its grade is 2 or 3 mod 4, not at all,
+skipped before it is multiplied.  The integers are those of the full
+products, so every certificate and matrix is too.
 """
 
 from __future__ import annotations
@@ -62,9 +66,8 @@ from numbers import Rational
 from typing import Dict, List, Optional, Tuple
 
 from . import exactnum
-from .clifford import (GaussianRational, Multivector, QuadraticForm, _combined,
-                       _gaussian_product, _nonzero, _product, _reversed, _right,
-                       _times_blade, blade_from_indices)
+from .clifford import (GaussianRational, Multivector, QuadraticForm, _product, _reversed,
+                       _right, _times_blade, blade_from_indices)
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -169,8 +172,9 @@ class SpinCertificate:
 def is_in_spin(x: Multivector) -> SpinCertificate:
     """Check the Spin(V,q) membership conditions one by one.
 
-    Even-ness, unit norm, real coefficients, preservation of the span of
-    1-blades under twisted conjugation, and orientation det +1.
+    Even-ness, real coefficients, unit norm and preservation of the span of
+    1-blades under twisted conjugation; the image is then in SO(q), with
+    det +1 (module docstring).
     """
     return _certify(x)[0]
 
@@ -178,110 +182,79 @@ def is_in_spin(x: Multivector) -> SpinCertificate:
 def _certify(x: Multivector):
     """``(certificate, matrix)``: the checks of :func:`is_in_spin` in order,
     on x's integers (module docstring); the matrix is None on a failure."""
-    if any(mask.bit_count() & 1 for mask in x._masks()):
-        return SpinCertificate(False, "element has an odd component"), None
-    if x._im:
-        return SpinCertificate(False, "coefficients are not real"), None
+    reason = _refusal(x)
+    if reason:
+        return SpinCertificate(False, reason), None
     try:
         s0 = _cleared_norm(x)
     except NotScalarNormError:
         return SpinCertificate(False, "norm is not scalar"), None
-    norm = GaussianRational.over(*s0, x._den * x._den)
+    norm = Fraction(s0, x._den * x._den)
     if norm != 1:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
     try:
-        d, cols = _cleared_columns(x, s0)
+        cols = _cleared_columns(x, s0)
     except NotScalarNormError:
         return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
-    if not _cleared_is_special_orthogonal(cols, d, x.form.signs):
-        return SpinCertificate(False, "image is not special orthogonal"), None
-    return SpinCertificate(True), _rotation(cols, d)
+    return SpinCertificate(True), _rotation(cols, s0)
+
+
+def _refusal(x: Multivector) -> Optional[str]:
+    """Why the integer path cannot take x (an odd component or a non-real
+    coefficient), or None for a real even x."""
+    if any(mask.bit_count() & 1 for mask in x._masks()):
+        return "element has an odd component"
+    if x._im:
+        return "coefficients are not real"
+    return None
 
 
 def _conjugation_matrix(x: Multivector) -> RotationMatrix:
-    """Matrix of v -> x v alpha(x)^-1 on the generators.
+    """Matrix of v -> x v alpha(x)^-1 on the generators, for a real even x.
 
     Column i is x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 with X = den x
     integral and s0 = den^2 N(x) (derived in the module docstring), computed
-    on integers.
+    on integers.  ValueError with :func:`_certify`'s reason for an odd or
+    non-real x.
     """
-    d, cols = _cleared_columns(x, _cleared_norm(x))
-    return _rotation(cols, d)
+    reason = _refusal(x)
+    if reason:
+        raise ValueError(reason)
+    s0 = _cleared_norm(x)
+    return _rotation(_cleared_columns(x, s0), s0)
 
 
-def _polarized(x: Multivector) -> Tuple[Dict[int, int], ...]:
-    """The maps whose reversal-symmetric products give those of X = R + iI:
-    (R,) for a real X, else (R, I, R + I) (module docstring)."""
-    re, im = x._re, x._im
-    return (re, im, _combined(re, 1, im, 1)) if im else (re,)
-
-
-def _symmetric(lefts, rights) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """(re, im) of a reversal-symmetric product of X = R + iI from the
-    term-aligned factors ``lefts[k]`` and ``rights[k]`` (prepared by
-    ``clifford._right``) of the k-th map of ``_polarized(x)``: sym(R) -
-    sym(I) and sym(R + I) - sym(R) - sym(I), zero entries left out."""
-    sym = []
-    for a, right in zip(lefts, rights):
-        acc: Dict[int, int] = {}
-        _product(a, right, acc, symmetric=True)
-        sym.append(acc)
-    if len(sym) == 1:
-        return _nonzero(sym[0]), {}
-    r, i, both = sym
-    return _combined(r, 1, i, -1), _combined(_combined(both, 1, r, -1), 1, i, -1)
-
-
-def _cleared_norm(x: Multivector) -> Tuple[int, int]:
-    """s0 = den^2 N(x) for an exact x = X / den: the (re, im) parts of the
-    scalar entry of rev(alpha(X)) X; NotScalarNormError if another is nonzero.
-
-    For an even or odd X the product is reversal-symmetric and takes the
-    halved pair loop; an X with both parities takes the full product."""
-    re, im = x._re, x._im
-    pos = x.form.positive_mask
-    if len({m.bit_count() & 1 for m in x._masks()}) > 1:
-        norm = _gaussian_product((_reversed(re, True), _reversed(im, True)), (re, im), pos)
-    else:
-        parts = _polarized(x)
-        norm = _symmetric([_reversed(z, True) for z in parts], [_right(z, pos) for z in parts])
-    if any(m for part in norm for m in part):
+def _cleared_norm(x: Multivector) -> int:
+    """s0 = den^2 N(x) for a real even x = X / den: the scalar entry of
+    rev(X) X, one halved product; NotScalarNormError if another is nonzero."""
+    norm: Dict[int, int] = {}
+    _product(_reversed(x._re), _right(x._re, x.form.positive_mask), norm, symmetric=True)
+    if any(v for m, v in norm.items() if m):
         raise NotScalarNormError("norm is not scalar; element is outside the Clifford group")
-    return norm[0].get(0, 0), norm[1].get(0, 0)
+    return norm.get(0, 0)
 
 
-def _cleared_columns(x: Multivector, s0: Tuple[int, int]):
-    """``(d, cols)``: the columns x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 as
-    integer lists ``cols[i]`` over one real denominator d (s0 itself when it
-    is real, |s0|^2 otherwise, the columns then times conj(s0)).  Each
-    X e_i rev(X) is reversal-symmetric; rev(X) and its sign masks are built
-    once for all n columns.
+def _cleared_columns(x: Multivector, s0: int) -> List[List[int]]:
+    """The columns x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 of a real even
+    x as integer lists over s0, one halved product each; rev(X) and its
+    sign masks are built once for all n columns.
 
     Raises NotInvertibleError when s0 = 0 and NotScalarNormError when an
-    image leaves the vector space or has an imaginary part.
+    image leaves the vector space.
     """
-    s_re, s_im = s0
-    if not (s_re or s_im):
+    if not s0:
         raise NotInvertibleError("twisting element is not invertible")
     pos = x.form.positive_mask
     n = x.form.dim
-    parts = _polarized(x)
-    rights = [_right(_reversed(z), pos) for z in parts]
+    right = _right(_reversed(x._re), pos)
     cols = []
     for i in range(n):
-        img_re, img_im = _symmetric([_times_blade(z, 1 << i, pos) for z in parts], rights)
-        if any(m.bit_count() != 1 for part in (img_re, img_im) for m in part):
+        image: Dict[int, int] = {}
+        _product(_times_blade(x._re, 1 << i, pos), right, image, symmetric=True)
+        if any(v and m.bit_count() != 1 for m, v in image.items()):
             raise NotScalarNormError("image of a vector is not a vector")
-        c_re = [img_re.get(1 << r, 0) for r in range(n)]
-        c_im = [img_im.get(1 << r, 0) for r in range(n)]
-        if s_im:
-            # c / s0 = c conj(s0) / |s0|^2
-            c_re, c_im = ([a * s_re + b * s_im for a, b in zip(c_re, c_im)],
-                          [b * s_re - a * s_im for a, b in zip(c_re, c_im)])
-        if any(c_im):
-            raise NotScalarNormError("vector image has imaginary part")
-        cols.append(c_re)
-    return (s_re * s_re + s_im * s_im if s_im else s_re), cols
+        cols.append([image.get(1 << r, 0) for r in range(n)])
+    return cols
 
 
 @dataclass(frozen=True)

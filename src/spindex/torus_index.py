@@ -114,9 +114,10 @@ class LatticeOperator:
     components, and the diagonal is 2r - m0.
 
     ``sector_blocks`` builds the four real sector blocks of H_W straight
-    from the triplets; the overlap data is computed from them on demand and
-    cached.  The sparse ``wilson_kernel`` and sector basis ``sector_basis``
-    are built on demand, for export, the site-basis chiral blocks and tests.
+    from the triplets, and ``export_triplets`` writes them; the overlap data
+    is computed from them on demand and cached.  The sparse ``wilson_kernel``
+    and sector basis ``sector_basis`` are built on demand, for the site-basis
+    chiral blocks and tests.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -247,10 +248,12 @@ class LatticeOperator:
 
     def export_triplets(self, stream) -> None:
         """The Wilson kernel as coordinate text, one line 'row col re im' per
-        entry, in row order."""
-        coo = self.wilson_kernel.tocoo()
-        for r, c, z in zip(coo.row, coo.col, coo.data):
-            stream.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
+        entry, in row order and by column within a row.  The stencil repeats
+        no (row, col) for N >= 4, so each entry is one triplet."""
+        rows, cols, values = self.triplets
+        for k in np.lexsort((cols, rows)):
+            z = values[k]
+            stream.write(f"{rows[k]} {cols[k]} {z.real:.17g} {z.imag:.17g}\n")
 
 
 def _neighbours(n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -221,6 +221,24 @@ def test_spin_cover_reports_the_exact_norm(capsys, terms, norm):
     assert code == 2 and f"norm is {norm}, not 1" in err
 
 
+@pytest.mark.parametrize("element, field", [
+    ("[1]", "must be an object"),
+    ("null", "must be an object"),
+    ('{"dim": 2, "signs": [1, 1], "terms": 5}', "'terms'"),
+    ('{"dim": 2, "signs": [1, 1], "terms": [5]}', "'terms'"),
+    ('{"dim": 2, "signs": [1, 1], "terms": [{"blade": [1, 2]}]}', "'terms'"),
+    ('{"dim": 2, "signs": [1, 1], "terms": [{"blade": ["1"], "re": "1"}]}', "'terms'"),
+    ('{"dim": "2", "signs": [1, 1], "terms": []}', "'dim'"),
+    ('{"dim": true, "signs": [1], "terms": []}', "'dim'"),
+    ('{"dim": 2, "terms": []}', "'signs'"),
+    ('{"dim": 2, "signs": [1, 1]}', "'terms'"),
+])
+def test_spin_cover_refuses_malformed_json(capsys, element, field):
+    code, out, err = run(capsys, "spin-cover", "--element", element)
+    assert code == 2 and out == ""
+    assert err.startswith("error: multivector JSON") and field in err
+
+
 def test_spin_cover_certifies_serialized_float_product(capsys):
     """The product of the lifts of three float angles is exact, so its JSON
     certifies to the same exact rotation."""

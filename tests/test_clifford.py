@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spindex.clifford import (AlgebraType, FormMismatchError, GaussianRational,
                               Multivector, QuadraticForm, blade_from_indices,
-                              blade_grade, blade_indices, blade_product,
+                              blade_grade, blade_indices, blade_product, blade_sign,
                               classify_complex, classify_real, embed_lower)
 from spindex.spin_groups import lift_rotation
 
@@ -145,6 +145,18 @@ def test_associativity_and_relation_random(n):
                   for _ in range(n)]
         v = Multivector.vector(form, coords)
         assert v * v == Multivector.scalar(form, -form.value(coords))
+
+
+def test_blade_sign_is_a_two_cocycle():
+    """sign(a, b) sign(a ^ b, c) = sign(b, c) sign(a, b ^ c) for all blades:
+    the product is associative on basis blades, so by bilinearity on every
+    element.  All 64 signatures of n = 6 hold every n < 6 as sub-blades."""
+    blades = np.arange(64)
+    a, b, c = np.meshgrid(blades, blades, blades, indexing="ij")
+    for positive_mask in range(64):
+        sign = np.array([[blade_sign(x, y, positive_mask) for y in range(64)]
+                         for x in range(64)])
+        assert np.array_equal(sign[a, b] * sign[a ^ b, c], sign[b, c] * sign[a, b ^ c])
 
 
 def test_mixed_signature_relation():
