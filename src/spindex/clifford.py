@@ -19,7 +19,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exactnum import GaussianRational, _operand, realify, solve
+from .exactnum import GaussianRational, _operand
 
 MAX_DIM = 16
 
@@ -340,46 +340,63 @@ class Multivector:
     # -- inversion ----------------------------------------------------------
 
     def inverse(self) -> "Multivector":
-        """Multiplicative inverse.
+        """Multiplicative inverse; ZeroDivisionError when there is none.
 
-        Tries the Clifford-group shortcut rev(alpha(x)) / N(x) first and falls
-        back to solving the left-multiplication linear system exactly.
+        Tries the Clifford-group shortcut, rev(alpha(x)) over the norm
+        rev(alpha(x)) x, first and falls back to the Faddeev-LeVerrier
+        recursion of Shirokov (Comput. Appl. Math. 40 (2021) 173; Hitzer and
+        Sangwine, Appl. Math. Comput. 311 (2017) 375, give its closed forms
+        for n <= 5).
+
+        Cl(V, q) tensor C acts faithfully on the complex spinor module of
+        dimension N = 2^ceil(n/2) (for odd n the sum of the two irreducible
+        ones), and there the trace of x is N times its scalar part: a blade
+        other than 1 anticommutes with some generator, so its trace is minus
+        itself, except the odd pseudoscalar, which acts by opposite scalars
+        on the two summands.  Newton's identities for the characteristic
+        polynomial of x on that module then read U_1 = x,
+        C_k = (N/k) <U_k>_0 and U_{k+1} = x (U_k - C_k), and Cayley-Hamilton
+        makes U_N the scalar s = (-1)^(N+1) det x.  With
+        V = U_{N-1} - C_{N-1} (V = 1 in Cl_0), x V = s is the certificate,
+        as the norm is for the shortcut: s != 0 makes V / s the inverse, and
+        s = 0 means det x = 0.  The recursion takes N - 1 products.
         """
         candidate = self._map_parts(lambda part: _reversed(part, True))
         norm = candidate._times(self)
         # a left inverse in a finite-dimensional algebra is two-sided, so a
         # scalar nonzero norm already certifies the shortcut
         if norm.is_scalar() and not norm.is_zero():
-            # candidate = C / d and N(x) = s / e, e being the norm's own
-            # (reduced) denominator, so x^-1 = C e conj(s) / (d |s|^2),
-            # taken here over d |s|^2 / g with g = gcd(Re s, Im s)
-            s_re, s_im = norm._re.get(0, 0), norm._im.get(0, 0)
-            g, e = gcd(s_re, s_im), norm._den
-            f_re, f_im = e * s_re // g, -e * s_im // g
-            c_re, c_im = candidate._re, candidate._im
-            # C times the scalar f_re + i f_im, term by term
-            return Multivector._reduced(self.form, self._den * ((s_re * s_re + s_im * s_im) // g),
-                                        _combined(c_re, f_re, c_im, -f_im),
-                                        _combined(c_re, f_im, c_im, f_re))
-        return self._inverse_by_solving()
+            return candidate._over_scalar(norm)
+        return self._inverse_by_recursion()
 
-    def _inverse_by_solving(self) -> "Multivector":
-        size = 1 << self.form.dim
-        # left multiplication by self = (re + i*im) / den; column col of
-        # each integer part is that part times e_col
-        parts = []
-        for part in ((self._re, self._im) if self._im else (self._re,)):
-            mat = [[0] * size for _ in range(size)]
-            for col in range(size):
-                for m, v in _times_blade(part, col, self.form.positive_mask).items():
-                    mat[m][col] = v
-            parts.append(mat)
-        mat = realify(*parts) if self._im else parts[0]
-        y, d = solve(mat, [self._den] + [0] * (len(mat) - 1))
-        if d < 0:
-            y, d = [-v for v in y], -d
-        return Multivector._reduced(self.form, d, _nonzero(dict(enumerate(y[:size]))),
-                                    _nonzero(dict(enumerate(y[size:]))))
+    def _inverse_by_recursion(self) -> "Multivector":
+        size = 1 << (self.form.dim + 1) // 2
+        v, u = Multivector.scalar(self.form, 1), self
+        for k in range(1, size):
+            # U_k = W / d, so U_k - C_k = (k W - N <W>_0) / (k d)
+            v = Multivector._exact(self.form, k * u._den,
+                                   *(_combined(part, k, {0: part.get(0, 0)}, -size)
+                                     for part in (u._re, u._im)))
+            u = self._times(v)
+        if not u.is_scalar():
+            raise RuntimeError("x times its Faddeev-LeVerrier adjugate is not a scalar")
+        if u.is_zero():
+            raise ZeroDivisionError("multivector is not invertible")
+        return v._over_scalar(u)
+
+    def _over_scalar(self, s: "Multivector") -> "Multivector":
+        """self / s for a nonzero scalar s."""
+        # self = C / d and s = (s_re + i s_im) / e, so self / s is
+        # C e conj(s) / (d |s|^2), taken here over d |s|^2 / g with
+        # g = gcd(s_re, s_im)
+        s_re, s_im = s._re.get(0, 0), s._im.get(0, 0)
+        g, e = gcd(s_re, s_im), s._den
+        f_re, f_im = e * s_re // g, -e * s_im // g
+        c_re, c_im = self._re, self._im
+        # C times the scalar f_re + i f_im, term by term
+        return Multivector._reduced(self.form, self._den * ((s_re * s_re + s_im * s_im) // g),
+                                    _combined(c_re, f_re, c_im, -f_im),
+                                    _combined(c_re, f_im, c_im, f_re))
 
     # -- serialization ---------------------------------------------------------
 

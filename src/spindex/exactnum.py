@@ -7,10 +7,10 @@ simply keep the imaginary part at zero.  All arithmetic is exact; there is
 no rounding anywhere in this module, and a float or complex operand raises
 TypeError.
 
-Linear algebra over Q(i) is reduced to one integer routine, the fraction-free
-elimination of Bareiss (Math. Comp. 22 (1968) 565): callers clear
-denominators once and split a Gaussian system into its real and imaginary
-halves (:func:`realify`).
+Exact determinants over Q(i) come from one integer routine, the
+fraction-free elimination of Bareiss (Math. Comp. 22 (1968) 565): callers
+clear denominators once and split a Gaussian matrix into its real and
+imaginary halves (:func:`realify`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Number, Rational
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -86,8 +86,15 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, re_str: str, im_str: str = "0") -> "GaussianRational":
-        """Parse fraction strings like ``"3/4"`` or ``"-2"``."""
-        return cls(Fraction(re_str), Fraction(im_str))
+        """Parse fraction strings like ``"3/4"`` or ``"-2"``; ValueError names
+        a string whose denominator is zero."""
+        parts = []
+        for text in (re_str, im_str):
+            try:
+                parts.append(Fraction(text))
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {text!r} has a zero denominator") from None
+        return cls(*parts)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -188,8 +195,7 @@ def bareiss(a: List[List[int]]) -> int:
     Returns the determinant of the leading n x n block.  Every division is
     exact, so entries stay integers bounded by minors of the input.  When
     the determinant is nonzero, ``a`` ends upper triangular in its first n
-    columns with ``a[n-1][n-1] == ±det``; row operations keep any further
-    (augmented) columns consistent with the same linear system.
+    columns with ``a[n-1][n-1] == ±det``.
     """
     n = len(a)
     sign, prev = 1, 1
@@ -211,26 +217,6 @@ def bareiss(a: List[List[int]]) -> int:
                            for x, y in zip(row[k + 1:], tail)]
         prev = p
     return sign * prev
-
-
-def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Tuple[List[int], int]:
-    """Solve ``a x = b`` for a square integer matrix.
-
-    Returns integers ``(y, d)`` with ``x = y / d``.  Raises
-    ``ZeroDivisionError`` when ``a`` is singular.
-    """
-    n = len(a)
-    m = [list(row) + [v] for row, v in zip(a, b)]
-    if not bareiss(m):
-        raise ZeroDivisionError("singular matrix")
-    d = m[n - 1][n - 1]
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        s = d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        # d * x is integral (Cramer's rule), so this division is exact
-        y[i] = s // row[i]
-    return y, d
 
 
 def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:

@@ -239,6 +239,12 @@ def test_spin_cover_refuses_malformed_json(capsys, element, field):
     assert err.startswith("error: multivector JSON") and field in err
 
 
+def test_spin_cover_names_a_zero_denominator(capsys):
+    element = '{"dim":2,"signs":[1,1],"terms":[{"blade":[],"re":"1/0"}]}'
+    code, out, err = run(capsys, "spin-cover", "--element", element)
+    assert (code, out, err) == (2, "", "error: coefficient '1/0' has a zero denominator\n")
+
+
 def test_spin_cover_certifies_serialized_float_product(capsys):
     """The product of the lifts of three float angles is exact, so its JSON
     certifies to the same exact rotation."""

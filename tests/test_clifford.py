@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindex import exactnum
 from spindex.clifford import (AlgebraType, FormMismatchError, GaussianRational,
                               Multivector, QuadraticForm, blade_from_indices,
                               blade_grade, blade_indices, blade_product, blade_sign,
@@ -368,9 +369,9 @@ def test_lift_product_inverse_takes_the_shortcut(monkeypatch):
     assert norm == Multivector.scalar(f4, 1)     # exactly: lifts have unit norm
 
     def refuse(self):
-        raise AssertionError("dense solve taken")
+        raise AssertionError("general recursion taken")
 
-    monkeypatch.setattr(Multivector, "_inverse_by_solving", refuse)
+    monkeypatch.setattr(Multivector, "_inverse_by_recursion", refuse)
     inv = x.inverse()
     one = Multivector.scalar(f4, 1)
     assert x * inv == one and inv * x == one
@@ -501,29 +502,80 @@ def test_versor_inverse_property(data):
 def test_general_inverse_property(data):
     """Elements with a dominant scalar part are invertible (the left
     multiplication by a blade is a signed permutation); most have no scalar
-    norm and take the elimination path, which is also called directly."""
-    form = data.draw(_forms(max_dim=5))
+    norm and take the Faddeev-LeVerrier recursion, which is also called
+    directly."""
+    form = data.draw(_forms())
     pairs = data.draw(_elements(form))
     pairs[0] = (1 + sum(abs(re) + abs(im) for m, (re, im) in pairs.items() if m), Fraction(0))
     x = _multivector(form, pairs)
     one = Multivector.scalar(form, 1)
-    for inv in (x.inverse(), x._inverse_by_solving()):
+    for inv in (x.inverse(), x._inverse_by_recursion()):
         assert x * inv == one and inv * x == one
         _canonical_pairs(inv)
 
 
-@settings(max_examples=30, deadline=None)
+def _zero_divisor_factors(form):
+    """1 + e_i with e_i**2 = +1, (1 - e_i)(1 + e_i) = 0, and 1 + i e12 with
+    e12**2 = -1, (1 - i e12)(1 + i e12) = 0."""
+    one = {0: GaussianRational(1)}
+    factors = [{**one, 1 << i: GaussianRational(1)} for i, s in enumerate(form.signs) if s == -1]
+    if form.dim >= 2 and form.signs[0] == form.signs[1]:
+        factors.append({**one, 0b11: GaussianRational(0, 1)})
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_zero_divisors_are_not_inverted_property(data):
-    """(1 + e_i) y with e_i**2 = +1 is a zero divisor: (1 - e_i)(1 + e_i) = 0."""
-    form = data.draw(_forms(max_dim=5).filter(lambda f: -1 in f.signs))
-    i = data.draw(st.sampled_from([k for k, s in enumerate(form.signs) if s == -1]))
+    form = data.draw(_forms().filter(_zero_divisor_factors))
+    factor = data.draw(st.sampled_from(_zero_divisor_factors(form)))
     y = _multivector(form, data.draw(_elements(form)))
-    x = Multivector(form, {0: GaussianRational(1), 1 << i: GaussianRational(1)}) * y
+    x = Multivector(form, factor) * y
     with pytest.raises(ZeroDivisionError):
         x.inverse()
     with pytest.raises(ZeroDivisionError):
-        x._inverse_by_solving()
+        x._inverse_by_recursion()
+
+
+def test_cl0_inverse_is_the_reciprocal_and_zero_raises():
+    """Cl_0 has N = 1: the recursion takes no product and V = 1."""
+    f0 = QuadraticForm(0, ())
+    x = Multivector.scalar(f0, GaussianRational(Fraction(3, 2), 1))
+    assert x._inverse_by_recursion() == x.inverse() == Multivector.scalar(
+        f0, GaussianRational(Fraction(6, 13), Fraction(-4, 13)))
+    for zero in (Multivector.zero(f0).inverse, Multivector.zero(f0)._inverse_by_recursion):
+        with pytest.raises(ZeroDivisionError):
+            zero()
+
+
+def _dominant(rng, form):
+    """A dense Gaussian-rational element with a dominant scalar part."""
+    terms = {m: GaussianRational(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+                                 int(rng.integers(-2, 3)))
+             for m in range(1, 1 << form.dim)}
+    terms[0] = 1 + sum(abs(c.re) + abs(c.im) for c in terms.values())
+    return terms
+
+
+def test_dense_inverse_at_n7_matches_the_oracle():
+    form = QuadraticForm(7, (1, -1, 1, 1, -1, -1, 1))
+    terms = _dominant(np.random.default_rng(7), form)
+    x = Multivector(form, terms)
+    assert not (x.reversal().grade_involution() * x).is_scalar()    # not a versor
+    assert _oracle_mul(_gaussian(terms), x.inverse().terms(), form) == {0: GaussianRational(1)}
+
+
+def test_general_inverse_runs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Bareiss elimination taken")
+
+    monkeypatch.setattr(exactnum, "bareiss", refuse)
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        form = QuadraticForm(n, tuple(int(s) for s in rng.choice((1, -1), size=n)))
+        x = Multivector(form, _dominant(rng, form))
+        one = Multivector.scalar(form, 1)
+        assert x * x.inverse() == one and x.inverse() * x == one
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +674,7 @@ def test_integer_representation_matches_the_gaussian_oracle(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_inverses_match_the_gaussian_oracle(data):
-    """A versor's inverse from the shortcut and from the linear solve is the
+    """A versor's inverse from the shortcut and from the recursion is the
     oracle's rev(alpha(x)) / N(x); a general element's inverse is checked by
     an oracle product."""
     form = data.draw(_forms())
@@ -635,11 +687,11 @@ def test_inverses_match_the_gaussian_oracle(data):
     want = _oracle_versor_inverse(x.terms(), form)
     assert x.inverse().terms() == want
     if form.dim <= 4:
-        assert x._inverse_by_solving().terms() == want
+        assert x._inverse_by_recursion().terms() == want
         terms = data.draw(_exact_terms(form))
         terms[0] = 1 + sum(abs(g.re) + abs(g.im) for g in _gaussian(terms).values())
         y = Multivector(form, terms)
-        for inv in (y.inverse(), y._inverse_by_solving()):
+        for inv in (y.inverse(), y._inverse_by_recursion()):
             assert _oracle_mul(_gaussian(terms), inv.terms(), form) == {0: GaussianRational(1)}
 
 
