@@ -342,32 +342,39 @@ class Multivector:
     def inverse(self) -> "Multivector":
         """Multiplicative inverse; ZeroDivisionError when there is none.
 
-        Tries the Clifford-group shortcut, rev(alpha(x)) over the norm
-        rev(alpha(x)) x, first and falls back to the Faddeev-LeVerrier
-        recursion of Shirokov (Comput. Appl. Math. 40 (2021) 173; Hitzer and
-        Sangwine, Appl. Math. Comput. 311 (2017) 375, give its closed forms
-        for n <= 5).
+        Computes the norm M = rev(alpha(x)) x first.  A scalar M is the
+        Clifford-group shortcut: rev(alpha(x)) / M when M != 0, and when
+        M = 0 there is no inverse (an inverse of x would make M one too).
+        Any other M is inverted by the Faddeev-LeVerrier recursion of
+        Shirokov (Comput. Appl. Math. 40 (2021) 173; Hitzer and Sangwine,
+        Appl. Math. Comput. 311 (2017) 375, give its closed forms for
+        n <= 5), and x^-1 = M^-1 rev(alpha(x)); M is invertible exactly when
+        x is, and it lies on grades 0, 3 mod 4 (0 mod 4 for an even x), so
+        the recursion's products are sparser on M than on x.
 
-        Cl(V, q) tensor C acts faithfully on the complex spinor module of
-        dimension N = 2^ceil(n/2) (for odd n the sum of the two irreducible
-        ones), and there the trace of x is N times its scalar part: a blade
-        other than 1 anticommutes with some generator, so its trace is minus
-        itself, except the odd pseudoscalar, which acts by opposite scalars
-        on the two summands.  Newton's identities for the characteristic
-        polynomial of x on that module then read U_1 = x,
-        C_k = (N/k) <U_k>_0 and U_{k+1} = x (U_k - C_k), and Cayley-Hamilton
-        makes U_N the scalar s = (-1)^(N+1) det x.  With
-        V = U_{N-1} - C_{N-1} (V = 1 in Cl_0), x V = s is the certificate,
-        as the norm is for the shortcut: s != 0 makes V / s the inverse, and
-        s = 0 means det x = 0.  The recursion takes N - 1 products.
+        The recursion inverts any element y.  Cl(V, q) tensor C acts
+        faithfully on the complex spinor module of dimension N = 2^ceil(n/2)
+        (for odd n the sum of the two irreducible ones), and there the trace
+        of y is N times its scalar part: a blade other than 1 anticommutes
+        with some generator, so its trace is minus itself, except the odd
+        pseudoscalar, which acts by opposite scalars on the two summands.
+        Newton's identities for the characteristic polynomial of y on that
+        module then read U_1 = y, C_k = (N/k) <U_k>_0 and
+        U_{k+1} = y (U_k - C_k), and Cayley-Hamilton makes U_N the scalar
+        s = (-1)^(N+1) det y.  With V = U_{N-1} - C_{N-1} (V = 1 in Cl_0),
+        y V = s is the certificate, as M is for the shortcut: s != 0 makes
+        V / s the inverse, and s = 0 means det y = 0.  The recursion takes
+        N - 1 products.
         """
         candidate = self._map_parts(lambda part: _reversed(part, True))
         norm = candidate._times(self)
-        # a left inverse in a finite-dimensional algebra is two-sided, so a
-        # scalar nonzero norm already certifies the shortcut
-        if norm.is_scalar() and not norm.is_zero():
-            return candidate._over_scalar(norm)
-        return self._inverse_by_recursion()
+        # a left inverse in a finite-dimensional algebra is two-sided, so
+        # both rev(alpha(x)) / M and M^-1 rev(alpha(x)) are certified by M
+        if not norm.is_scalar():
+            return norm._inverse_by_recursion()._times(candidate)
+        if norm.is_zero():
+            raise ZeroDivisionError("multivector is not invertible")
+        return candidate._over_scalar(norm)
 
     def _inverse_by_recursion(self) -> "Multivector":
         size = 1 << (self.form.dim + 1) // 2
@@ -459,50 +466,19 @@ def _reversed(part: Dict[int, int], alpha: bool = False) -> Dict[int, int]:
     return {m: -c if (m.bit_count() + shift) & 2 else c for m, c in part.items()}
 
 
-def _times_blade(terms: Dict[int, int], blade: int, positive_mask: int) -> Dict[int, int]:
-    """The blade map of x e_B (``blade`` = B) term by term:
-    c e_A e_B = (-1)^popcount(A & sign mask of B) c e_{A ^ B}."""
-    sign_mask = _sign_mask(blade, positive_mask)
-    return {m ^ blade: -c if (m & sign_mask).bit_count() & 1 else c for m, c in terms.items()}
-
-
 def _right(b: Dict[int, int], positive_mask: int, sign: int = 1) -> List[Tuple[int, int, int]]:
     """The right factor ``sign * b`` of :func:`_product`: each term of the
     integer blade map ``b`` as (blade, its sign mask, value)."""
     return [(mb, _sign_mask(mb, positive_mask), sign * vb) for mb, vb in b.items()]
 
 
-def _product(a: Dict[int, int], right: List[Tuple[int, int, int]], acc: Dict[int, int],
-             symmetric: bool = False) -> None:
+def _product(a: Dict[int, int], right: List[Tuple[int, int, int]], acc: Dict[int, int]) -> None:
     """Add ``a * b`` for multivectors given as integer blade maps into
     ``acc`` (cancelled coefficients stay as zeros), with ``right`` =
-    ``_right(b, positive_mask)``.
-
-    ``symmetric`` asks for a reversal-symmetric product over term-aligned
-    factors: a and b have one entry per term of some Z, in Z's order, and
-    the term of (a's j-th entry) (b's k-th entry) is the reversal of the
-    term of (a's k-th) (b's j-th), as for a = Z m, b = rev(Z) with m a
-    vector or scalar.  rev is 1 on grades 0, 1 mod 4 and -1 on grades
-    2, 3 mod 4, so such a pair adds up to twice one term or to zero; only
-    the pairs j <= k are multiplied, the diagonal once, and an off-diagonal
-    pair is skipped on its grade before it is multiplied.
-    """
-    if not symmetric:
-        for ma, va in a.items():
-            for mb, mask, vb in right:
-                m = ma ^ mb
-                t = va * vb
-                acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
-        return
-    for j, (ma, va) in enumerate(a.items()):
-        mb, mask, vb = right[j]
-        m, t = ma ^ mb, va * vb
-        acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
-        va *= 2
-        for mb, mask, vb in right[j + 1:]:
+    ``_right(b, positive_mask)``."""
+    for ma, va in a.items():
+        for mb, mask, vb in right:
             m = ma ^ mb
-            if m.bit_count() & 2:
-                continue
             t = va * vb
             acc[m] = acc.get(m, 0) + (-t if (ma & mask).bit_count() & 1 else t)
 

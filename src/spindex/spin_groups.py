@@ -18,9 +18,9 @@ scalar, alpha(x)^-1 = x^-1 = rev(x) / N(x), and
     x e_i alpha(x)^-1 = x e_i rev(x) / N(x) = (X e_i rev(X)) / s0,
     s0 = den^2 N(x) = scalar entry of rev(X) X.
 
-So one integer product gives s0 and n more give the columns of the cover as
-integers over the single denominator s0; division happens only when the
-final Fraction entries are built.
+So s0 and the columns of the cover, integers over the single denominator
+s0, come from two loops over X's term pairs (below); division happens only
+when the final Fraction entries are built.
 
 A certified x needs no SO(q) check.  Once N(x) = 1 and every
 rho(e_i) = x e_i x^-1 is a vector, rho(v) = x v x^-1 maps V to V, and:
@@ -37,10 +37,10 @@ rho(e_i) = x e_i x^-1 is a vector, rho(v) = x v x^-1 maps V to V, and:
 :meth:`RotationMatrix.is_special_orthogonal` is the one SO(q) reading, for
 matrices from elsewhere and for the covering-map criterion.
 
-Each of these products multiplies only half of its term pairs.  rev is an
-anti-automorphism, rev(e_A) = r_A e_A with r_A = (-1)^(k(k-1)/2) on a blade
-of grade k, and rev(e_i) = e_i.  Write X = sum_A x_A e_A.  The pair (A, B)
-of X e_i rev(X) gives the term t_AB = x_A x_B r_B e_A e_i e_B, and
+Each loop takes the pairs of X's terms once.  rev is an anti-automorphism,
+rev(e_A) = r_A e_A with r_A = (-1)^(k(k-1)/2) on a blade of grade k, and
+rev(e_i) = e_i.  Write X = sum_A x_A e_A.  The pair (A, B) of X e_i rev(X)
+gives the term t_AB = x_A x_B r_B e_A e_i e_B, and
 
     rev(t_AB) = x_A x_B r_B rev(e_B) e_i rev(e_A) = x_A x_B r_A e_B e_i e_A = t_BA.
 
@@ -49,11 +49,30 @@ is the norm rev(X) X.  Both t_AB and t_BA lie on the blade A ^ B ^ e_i
 (A ^ B for the norm), of grade k say, where rev is the sign
 (-1)^(k(k-1)/2): +1 for k = 0, 1 mod 4 and -1 for k = 2, 3 mod 4.  So
 t_AB + t_BA is 2 t_AB on grades 0, 1 mod 4 and 0 on grades 2, 3 mod 4, and
-the pair loop (``clifford._product`` with ``symmetric``) takes each pair of
-terms once, A <= B in the order of X's terms: a diagonal pair once, an
-off-diagonal pair twice or, when its grade is 2 or 3 mod 4, not at all,
-skipped before it is multiplied.  The integers are those of the full
-products, so every certificate and matrix is too.
+a loop takes the pairs A <= B in the order of X's terms: a diagonal pair
+once, an off-diagonal pair twice or not at all.  With D = A ^ B, of even
+grade as X is even, and e_A e_B = sigma(A, B) e_D:
+
+- The norm loop.  A pair adds r_A x_A x_B sigma(A, B), doubled off the
+  diagonal, on D when |D| = 0 mod 4.  The diagonal (D = 0) gives
+  s0 = sum_A r_A x_A^2 sigma(A, A); a nonzero entry on any other D means
+  the norm is not scalar.
+- The column loop, run only once the norm has passed.  The pair's term in
+  the image of e_i lies on D ^ e_i, of grade |D| - 1 for i in D and
+  |D| + 1 for i outside D, so it is kept on the columns i in D when
+  |D| = 2 mod 4 and on the columns i outside D when |D| = 0 mod 4.  The
+  diagonal feeds every C_ii, a pair with D = {p, q} column p's e_q entry
+  and column q's e_p entry, and a pair with |D| >= 4 only entries off the
+  vectors, which cancel for an element of the Clifford group.
+- The sign.  e_A e_i e_B = sigma(A, e_i) e_{A ^ e_i} e_B, and with m_B the
+  sign mask of B (e_C e_B = (-1)^popcount(C & m_B) e_{C ^ B},
+  ``clifford._sign_mask``), sigma(A ^ e_i, B) = sigma(A, B)
+  (-1)^(bit i of m_B).  With S_A the mask whose bit i is the parity of
+  sigma(A, e_i), the sign is bit i of S_A ^ m_B, flipped when A & m_B has
+  odd parity: a few bit operations per pair and column.
+
+The integers are those of the full products, so every certificate and
+matrix is too.
 """
 
 from __future__ import annotations
@@ -66,8 +85,8 @@ from numbers import Rational
 from typing import Dict, List, Optional, Tuple
 
 from . import exactnum
-from .clifford import (GaussianRational, Multivector, QuadraticForm, _product, _reversed,
-                       _right, _times_blade, blade_from_indices)
+from .clifford import (MAX_DIM, GaussianRational, Multivector, QuadraticForm, _sign_mask,
+                       blade_from_indices)
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -185,16 +204,15 @@ def _certify(x: Multivector):
     reason = _refusal(x)
     if reason:
         return SpinCertificate(False, reason), None
-    try:
-        s0 = _cleared_norm(x)
-    except NotScalarNormError:
+    terms = _pair_terms(x)
+    s0, rest = _norm_pairs(terms)
+    if any(rest.values()):
         return SpinCertificate(False, "norm is not scalar"), None
     norm = Fraction(s0, x._den * x._den)
     if norm != 1:
         return SpinCertificate(False, f"norm is {norm}, not 1"), None
-    try:
-        cols = _cleared_columns(x, s0)
-    except NotScalarNormError:
+    cols = _vector_columns(_image_pairs(terms, x.form), x.form.dim)
+    if cols is None:
         return SpinCertificate(False, "twisted conjugation leaves the vector space"), None
     return SpinCertificate(True), _rotation(cols, s0)
 
@@ -215,46 +233,113 @@ def _conjugation_matrix(x: Multivector) -> RotationMatrix:
     Column i is x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 with X = den x
     integral and s0 = den^2 N(x) (derived in the module docstring), computed
     on integers.  ValueError with :func:`_certify`'s reason for an odd or
-    non-real x.
+    non-real x; NotScalarNormError when N(x) is not scalar or an image is
+    not a vector, NotInvertibleError when N(x) = 0.
     """
     reason = _refusal(x)
     if reason:
         raise ValueError(reason)
-    s0 = _cleared_norm(x)
-    return _rotation(_cleared_columns(x, s0), s0)
-
-
-def _cleared_norm(x: Multivector) -> int:
-    """s0 = den^2 N(x) for a real even x = X / den: the scalar entry of
-    rev(X) X, one halved product; NotScalarNormError if another is nonzero."""
-    norm: Dict[int, int] = {}
-    _product(_reversed(x._re), _right(x._re, x.form.positive_mask), norm, symmetric=True)
-    if any(v for m, v in norm.items() if m):
+    terms = _pair_terms(x)
+    s0, rest = _norm_pairs(terms)
+    if any(rest.values()):
         raise NotScalarNormError("norm is not scalar; element is outside the Clifford group")
-    return norm.get(0, 0)
-
-
-def _cleared_columns(x: Multivector, s0: int) -> List[List[int]]:
-    """The columns x e_i alpha(x)^-1 = (X e_i rev(X)) / s0 of a real even
-    x as integer lists over s0, one halved product each; rev(X) and its
-    sign masks are built once for all n columns.
-
-    Raises NotInvertibleError when s0 = 0 and NotScalarNormError when an
-    image leaves the vector space.
-    """
     if not s0:
         raise NotInvertibleError("twisting element is not invertible")
+    cols = _vector_columns(_image_pairs(terms, x.form), x.form.dim)
+    if cols is None:
+        raise NotScalarNormError("image of a vector is not a vector")
+    return _rotation(cols, s0)
+
+
+def _pair_terms(x: Multivector) -> List[Tuple[int, int, int, int]]:
+    """Each term x_A e_A of a real even x = X / den as (A, x_A, r_A x_A, m_A),
+    with r_A the reversal sign of e_A and m_A its sign mask
+    (``clifford._sign_mask``): e_C e_A = (-1)^popcount(C & m_A) e_{C ^ A}."""
     pos = x.form.positive_mask
-    n = x.form.dim
-    right = _right(_reversed(x._re), pos)
-    cols = []
-    for i in range(n):
-        image: Dict[int, int] = {}
-        _product(_times_blade(x._re, 1 << i, pos), right, image, symmetric=True)
-        if any(v and m.bit_count() != 1 for m, v in image.items()):
-            raise NotScalarNormError("image of a vector is not a vector")
-        cols.append([image.get(1 << r, 0) for r in range(n)])
-    return cols
+    return [(a, v, -v if a.bit_count() & 2 else v, _sign_mask(a, pos))
+            for a, v in x._re.items()]
+
+
+def _norm_pairs(terms) -> Tuple[int, Dict[int, int]]:
+    """(s0, rest) of rev(X) X over the pairs j <= k of X's ``terms``: s0 its
+    scalar entry, ``rest`` its other entries, cancelled ones kept as zeros
+    (module docstring)."""
+    s0 = 0
+    rest: Dict[int, int] = {}
+    for j, (a, va, ra, ma) in enumerate(terms):
+        t = ra * va
+        s0 += -t if (a & ma).bit_count() & 1 else t
+        ra *= 2
+        for b, vb, _, mb in terms[j + 1:]:
+            d = a ^ b
+            if d.bit_count() & 2:
+                continue
+            t = ra * vb
+            rest[d] = rest.get(d, 0) + (-t if (a & mb).bit_count() & 1 else t)
+    return s0, rest
+
+
+#: per dimension n, entry D (filled on first use): the columns a pair of
+#: terms with A ^ B = D feeds, each as (e_i, key of its entry in the image)
+_FEEDS: Dict[int, List[Optional[Tuple[Tuple[int, int], ...]]]] = {}
+
+
+def _feeds(d: int, full: int) -> Tuple[Tuple[int, int], ...]:
+    """The columns e_i with D ^ e_i of grade 1 mod 4: i in D when |D| = 2
+    mod 4, i outside D when |D| = 0 mod 4 (module docstring)."""
+    hit = d if d.bit_count() & 2 else full ^ d
+    out = []
+    while hit:
+        low = hit & -hit
+        hit ^= low
+        out.append((low, low << MAX_DIM | d ^ low))
+    return tuple(out)
+
+
+def _image_pairs(terms, form: QuadraticForm) -> Dict[int, int]:
+    """The entries of X e_i rev(X), for every i, over the pairs j <= k of
+    X's ``terms``: the coefficient of e_C in the image of e_i is keyed
+    ``(1 << i) << MAX_DIM | C``, cancelled ones kept as zeros (module
+    docstring)."""
+    pos = form.positive_mask
+    full = (1 << form.dim) - 1
+    feeds = _FEEDS.get(form.dim)
+    if feeds is None:
+        feeds = _FEEDS[form.dim] = [None] * (full + 1)
+    image: Dict[int, int] = {}
+    for j, (a, va, ra, ma) in enumerate(terms):
+        # s = S_A: e_A e_i = (-1)^(bit i of s) e_{A ^ e_i}, bit i the parity
+        # of A's indices above i (a 16-bit xor window, as in _sign_mask),
+        # flipped when i is in A and e_i^2 = -1
+        s = a >> 1
+        s ^= s >> 1
+        s ^= s >> 2
+        s ^= s >> 4
+        s ^= s >> 8
+        s ^= a & pos
+        for b, _, rb, mb in terms[j:]:
+            d = a ^ b
+            t = va * rb
+            if d:
+                t *= 2
+            if (a & mb).bit_count() & 1:
+                t = -t
+            flip = s ^ mb
+            feed = feeds[d]
+            if feed is None:
+                feed = feeds[d] = _feeds(d, full)
+            for low, key in feed:
+                image[key] = image.get(key, 0) + (-t if flip & low else t)
+    return image
+
+
+def _vector_columns(image: Dict[int, int], n: int) -> Optional[List[List[int]]]:
+    """The integer columns of :func:`_image_pairs`' images, or None when an
+    image has a nonzero entry off the vectors."""
+    blades = (1 << MAX_DIM) - 1
+    if any(v and (key & blades).bit_count() != 1 for key, v in image.items()):
+        return None
+    return [[image.get(1 << i << MAX_DIM | 1 << r, 0) for r in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -402,11 +402,36 @@ def test_gaussian_rational_scales_from_either_side():
     assert Fraction(1, 2) * x == x * Fraction(1, 2)
 
 
-def test_non_invertible_raises():
+def test_non_invertible_raises(monkeypatch):
     form = QuadraticForm(1, (-1,))   # e1^2 = +1, so 1 + e1 is a zero divisor
     x = Multivector(form, {0: GaussianRational(1), 1: GaussianRational(1)})
+    # its norm (1 - e1)(1 + e1) is the scalar 0: refused with no recursion
+    monkeypatch.setattr(Multivector, "_inverse_by_recursion", None)
     with pytest.raises(ZeroDivisionError):
         x.inverse()
+
+
+def test_general_inverse_recurses_on_the_norm(monkeypatch):
+    """Outside the Clifford group the recursion inverts the norm
+    M = rev(alpha(x)) x, and x^-1 = M^-1 rev(alpha(x))."""
+    recursion = Multivector._inverse_by_recursion
+    receivers = []
+
+    def record(self):
+        receivers.append(self)
+        return recursion(self)
+
+    monkeypatch.setattr(Multivector, "_inverse_by_recursion", record)
+    f4 = QuadraticForm(4, (1, -1, 1, 1))
+    for x in (mv(E3, s=2, e1=1, e123=1), Multivector(f4, {0: 5, 0b11: 1, 0b110: -2, 0b1111: 1})):
+        norm = x.grade_involution().reversal() * x
+        assert not norm.is_scalar()
+        receivers.clear()
+        inv = x.inverse()
+        assert receivers == [norm]
+        assert inv == recursion(x)
+        one = Multivector.scalar(x.form, 1)
+        assert x * inv == one and inv * x == one
 
 
 def test_json_round_trip():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindex.clifford import (GaussianRational, Multivector, QuadraticForm, _gaussian_product,
-                              _nonzero, _product, _reversed, _right, _times_blade)
-from spindex.spin_groups import (NotScalarNormError, RotationMatrix, SpinCElement,
-                                 SpinCertificate, SpinElement, _certify, _cleared_norm,
-                                 _conjugation_matrix, covering_map,
+from spindex import spin_groups
+from spindex.clifford import (MAX_DIM, GaussianRational, Multivector, QuadraticForm,
+                              _gaussian_product, _nonzero, _reversed)
+from spindex.spin_groups import (NotInvertibleError, NotScalarNormError, RotationMatrix,
+                                 SpinCElement, SpinCertificate, SpinElement, _certify,
+                                 _conjugation_matrix, _image_pairs, _norm_pairs, _pair_terms,
+                                 _vector_columns, covering_map,
                                  is_in_spin, lift_rotation,
                                  rational_unit_vector, random_spin_element,
                                  spin_norm, spinc_canonicalize,
@@ -356,13 +358,58 @@ def _indefinite_versors(rng, n, count):
     return found
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def _pseudoscalar_rotor(n):
+    """3/5 + 4/5 e123456 in Cl_n, n >= 6: even, real and N = 1, but e1's
+    image has an e1 e123456 part, so not a versor."""
+    return Multivector(QuadraticForm.euclidean(n), {0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
+
+
+def _random_even_element(rng, form, count):
+    """``count`` random rational terms on even blades: its norm is not
+    scalar for most draws once n >= 4."""
+    blades = [m for m in range(1 << form.dim) if m.bit_count() % 2 == 0]
+    chosen = rng.choice(blades, size=min(count, len(blades)), replace=False)
+    return Multivector(form, {int(m): Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+                              for m in chosen})
+
+
+def _compare_with_products(x):
+    want_cert, want_matrix = _certify_by_products(x)
+    cert, matrix = _certify(x)
+    assert cert == want_cert
+    assert (matrix.entries if matrix else None) == want_matrix
+    # the phase element and the odd one: the integer path takes real
+    # even elements only
+    if want_cert.reason in ("element has an odd component", "coefficients are not real"):
+        with pytest.raises(ValueError, match=want_cert.reason):
+            _conjugation_matrix(x)
+        return want_cert.reason
+    _compare_matrix_with_products(x)
+    return want_cert.reason
+
+
+def _compare_matrix_with_products(x):
+    try:
+        expected = _conjugation_matrix_by_products(x)
+    except NotScalarNormError:
+        with pytest.raises(NotScalarNormError):
+            _conjugation_matrix(x)
+    except ZeroDivisionError:
+        with pytest.raises(NotInvertibleError):
+            _conjugation_matrix(x)
+    else:
+        entries = _conjugation_matrix(x).entries
+        assert entries == expected
+        assert all(type(e) is Fraction for row in entries for e in row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_conjugation_matrix_matches_full_products(n):
     rng = np.random.default_rng(40 + n)
     form = QuadraticForm.euclidean(n)
     phase = Multivector.scalar(form, GaussianRational(Fraction(3, 5), Fraction(4, 5)))
     exact = [random_spin_element(rng, form, pairs=p).value for p in (1, 2, 3)]
-    exact += [phase * exact[0]]
+    exact += [phase * exact[0], 2 * exact[1]]
     for _ in range(3):
         signs = tuple(int(s) for s in rng.choice((1, -1), n))
         exact.append(_random_clifford_element(rng, QuadraticForm(n, signs)))
@@ -382,76 +429,91 @@ def test_conjugation_matrix_matches_full_products(n):
     # an odd element, where rev and rev alpha differ
     signs = tuple(int(s) for s in rng.choice((1, -1), n))
     exact.append(_random_clifford_element(rng, QuadraticForm(n, signs), vectors=3))
+    for count in (2, 4, 8):
+        signs = tuple(int(s) for s in rng.choice((1, -1), n))
+        exact.append(_random_even_element(rng, QuadraticForm(n, signs), count))
     # the oracle certifies every one of these, with its own SO(q) check: the
     # reason "image is not special orthogonal" stays unreachable beyond the
     # Euclidean forms (module docstring of spin_groups)
     versors = _indefinite_versors(rng, n, 4)
     assert all(_certify_by_products(x)[0].ok for x in versors)
-    exact += versors
+    exact += versors + [2 * versors[0]]
+    if n >= 6:
+        exact.append(_pseudoscalar_rotor(n))
+    reasons = {_compare_with_products(x) for x in exact}
+    assert {None, "element has an odd component", "coefficients are not real"} <= reasons
+    assert any(r and r.startswith("norm is ") and r.endswith(", not 1") for r in reasons)
+    if n >= 4:
+        assert "norm is not scalar" in reasons
+    if n >= 6:
+        assert "twisted conjugation leaves the vector space" in reasons
+
+
+def test_conjugation_matrix_matches_full_products_at_n8():
+    """At n = 8 the oracle's Leibniz determinant is out of reach: the
+    matrices, and the typed errors of the refusals, from full products."""
+    rng = np.random.default_rng(48)
+    form = QuadraticForm.euclidean(8)
+    exact = [random_spin_element(rng, form, pairs=p).value for p in (1, 2)]
+    exact += [2 * exact[0], _pseudoscalar_rotor(8), _random_even_element(rng, form, 6)]
+    exact += _indefinite_versors(rng, 8, 2)
     for x in exact:
-        want_cert, want_matrix = _certify_by_products(x)
-        cert, matrix = _certify(x)
-        assert cert == want_cert
-        assert (matrix.entries if matrix else None) == want_matrix
-        # the phase element and the odd one: the integer path takes real
-        # even elements only
-        if want_cert.reason in ("element has an odd component", "coefficients are not real"):
-            with pytest.raises(ValueError, match=want_cert.reason):
-                _conjugation_matrix(x)
-            continue
-        try:
-            expected = _conjugation_matrix_by_products(x)
-        except NotScalarNormError:
-            with pytest.raises(NotScalarNormError):
-                _conjugation_matrix(x)
-        else:
-            entries = _conjugation_matrix(x).entries
-            assert entries == expected
-            assert all(type(e) is Fraction for row in entries for e in row)
+        _compare_matrix_with_products(x)
+    assert _certify(exact[0])[0].ok
+    assert _certify(exact[3])[0] == SpinCertificate(
+        False, "twisted conjugation leaves the vector space")
+
+
+def test_a_refused_norm_takes_no_column_loop(monkeypatch):
+    """The columns are read only after the norm has passed."""
+    def refuse(terms, form):
+        raise AssertionError("column loop taken")
+
+    monkeypatch.setattr(spin_groups, "_image_pairs", refuse)
+    assert not is_in_spin(2 * blade(1, 2)).ok
+    assert not is_in_spin(Multivector.scalar(F4, 1) + blade(1, 2) + blade(3, 4)).ok
 
 
 @st.composite
-def _integer_elements(draw):
-    """A real integer blade map X in Cl(p, q), n <= 6, even or odd, up to
-    every blade of its parity."""
-    n = draw(st.integers(1, 6))
+def _even_integer_elements(draw):
+    """A real even integer blade map X in Cl(p, q), n <= 6, up to every
+    even blade."""
+    n = draw(st.integers(0, 6))
     form = QuadraticForm(n, tuple(draw(st.lists(st.sampled_from((1, -1)),
                                                 min_size=n, max_size=n))))
-    parity = draw(st.sampled_from((0, 1)))
-    blades = [m for m in range(1 << n) if m.bit_count() & 1 == parity]
+    blades = [m for m in range(1 << n) if m.bit_count() % 2 == 0]
     terms = draw(st.dictionaries(st.sampled_from(blades), st.integers(-10 ** 6, 10 ** 6),
                                  max_size=len(blades)))
     return Multivector(form, terms)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_integer_elements())
-def test_symmetric_pair_loop_matches_the_full_products(x):
-    """The halved pair loop gives the full product X e_i rev(X) for every
-    e_i, and rev(X) X, which is the norm rev(alpha(X)) X of an even X and
-    minus it for an odd X (module docstring of spin_groups)."""
-    pos = x.form.positive_mask
-    re = x._re
-
-    def halved(a, b):
-        acc = {}
-        _product(a, _right(b, pos), acc, symmetric=True)
-        return _nonzero(acc)
-
-    for i in range(x.form.dim):
-        x_ei = _times_blade(re, 1 << i, pos)
-        full = _gaussian_product((x_ei, {}), (_reversed(re), {}), pos)
-        assert (halved(x_ei, _reversed(re)), {}) == full
-    full, _ = _gaussian_product((_reversed(re, True), {}), (re, {}), pos)
-    odd = any(m.bit_count() & 1 for m in re)
-    assert halved(_reversed(re), re) == {m: -v if odd else v for m, v in full.items()}
-    if odd:
-        return
-    if any(full):
-        with pytest.raises(NotScalarNormError):
-            _cleared_norm(x)
+@given(_even_integer_elements())
+def test_pair_loops_match_the_full_products(x):
+    """The two loops over X's term pairs give the full products: s0 and the
+    other entries of rev(X) X, and every entry of each X e_i rev(X) (module
+    docstring of spin_groups)."""
+    form, re = x.form, x._re
+    pos = form.positive_mask
+    terms = _pair_terms(x)
+    s0, rest = _norm_pairs(terms)
+    norm, _ = _gaussian_product((_reversed(re), {}), (re, {}), pos)
+    assert s0 == norm.get(0, 0)
+    assert _nonzero(rest) == {m: v for m, v in norm.items() if m}
+    image = _image_pairs(terms, form)
+    blades = (1 << MAX_DIM) - 1
+    images = []
+    for i in range(form.dim):
+        x_ei = (x * Multivector.basis_vector(form, i + 1))._re
+        full, _ = _gaussian_product((x_ei, {}), (_reversed(re), {}), pos)
+        assert _nonzero({key & blades: v for key, v in image.items()
+                         if key >> MAX_DIM == 1 << i}) == full
+        images.append(full)
+    cols = _vector_columns(image, form.dim)
+    if any(m.bit_count() != 1 for full in images for m in full):
+        assert cols is None
     else:
-        assert _cleared_norm(x) == full.get(0, 0)
+        assert cols == [[full.get(1 << r, 0) for r in range(form.dim)] for full in images]
 
 
 def test_rotation_matrix_exactness():
