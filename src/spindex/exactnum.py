@@ -172,9 +172,6 @@ class GaussianRational:
         # a real value equals its rational part, so it must hash like it
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __repr__(self) -> str:
         if self.im == 0:
             return str(self.re)

@@ -241,13 +241,6 @@ def clifford_action(v: Sequence[complex], module: CliffordModule,
     return out
 
 
-def clifford_matrix(v: Sequence[complex], module: CliffordModule) -> np.ndarray:
-    out = np.zeros((module.dim, module.dim), dtype=complex)
-    for vi, g in zip(v, module.generators):
-        out += vi * g
-    return out
-
-
 def restrict_module(module: CliffordModule) -> CliffordModule:
     """Forget the last generator: a module one Clifford dimension down."""
     if module.clifford_dim == 0:
@@ -260,10 +253,6 @@ def flip_grading(module: CliffordModule) -> CliffordModule:
     if module.grading is None:
         raise ValueError("module is not graded")
     return CliffordModule(module.clifford_dim, module.generators, -module.grading)
-
-
-def forget_grading(module: CliffordModule) -> CliffordModule:
-    return CliffordModule(module.clifford_dim, module.generators, None)
 
 
 def direct_sum(a: CliffordModule, b: CliffordModule) -> CliffordModule:
@@ -283,14 +272,6 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:n, :n] = a
     out[n:, n:] = b
     return out
-
-
-def conjugate_module(module: CliffordModule, p: np.ndarray) -> CliffordModule:
-    """Isomorphic copy with generators p g p^-1 (tests use random p)."""
-    pinv = np.linalg.inv(p)
-    gens = tuple(p @ g @ pinv for g in module.generators)
-    grading = p @ module.grading @ pinv if module.grading is not None else None
-    return CliffordModule(module.clifford_dim, gens, grading)
 
 
 # ---------------------------------------------------------------------------

@@ -551,10 +551,3 @@ def thom_class_complex(n: int) -> SymbolClass:
     parity = np.array([bin(s).count("1") % 2 for s in range(1 << n)])
     c = _exterior_coefficients(n)
     return SymbolClass(c[:, parity == 1][:, :, parity == 0])
-
-
-def exterior_clifford_matrix(v: Sequence[float], n: int) -> np.ndarray:
-    """Full cl(v) = v wedge . - v* contract . on all of Lambda* C^n."""
-    if len(v) != 2 * n:
-        raise ValueError("vector must have 2n real coordinates")
-    return np.tensordot(np.asarray(v, dtype=float), _exterior_coefficients(n), axes=1)

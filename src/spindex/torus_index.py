@@ -115,9 +115,9 @@ class LatticeOperator:
 
     ``sector_blocks`` builds the four real sector blocks of H_W straight
     from the triplets, and ``export_triplets`` writes them; the overlap data
-    is computed from them on demand and cached.  The sparse ``wilson_kernel``
-    and sector basis ``sector_basis`` are built on demand, for the site-basis
-    chiral blocks and tests.
+    is computed from them on demand and cached.  The triplets are the one
+    form of K the library holds; ``chiral_blocks`` builds the dense sector
+    basis ``_sector_basis`` on request, for D+ in the site basis.
     """
 
     def __init__(self, spec: FluxBundleSpec):
@@ -149,19 +149,6 @@ class LatticeOperator:
         ux, uy = self.ux, self.uy
         return (ux * np.roll(uy, -1, axis=0)
                 * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
-
-    @cached_property
-    def wilson_kernel(self):
-        """K as a CSR matrix."""
-        import scipy.sparse as sp
-        size = 2 * self.spec.sites
-        rows, cols, values = self.triplets
-        return sp.csr_matrix((values, (rows, cols)), shape=(size, size))
-
-    @cached_property
-    def sector_basis(self):
-        """W, each column's sector and its minus flag (``_sector_basis``)."""
-        return _sector_basis(self.ux, self.uy)
 
     def sector_blocks(self) -> Tuple[List[np.ndarray], List[int]]:
         """The four real symmetric blocks W^* H_W W of H_W = gamma K, one per
@@ -239,11 +226,12 @@ class LatticeOperator:
     def chiral_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
         """Rectangular mutually adjoint blocks (D+, D-) with D- = (D+)^*,
         in the site basis: the minus rows of W's minus columns times the
-        block diagonal sector-basis D+."""
-        import scipy.sparse as sp
-        ov = self.overlap()
-        basis, _, minus = self.sector_basis
-        dplus = (basis[:self.spec.sites][:, minus] @ sp.block_diag(ov.dplus_blocks)).toarray()
+        block diagonal sector-basis D+, one sector's columns at a time."""
+        blocks = self.overlap().dplus_blocks
+        basis, sectors, minus = _sector_basis(self.ux, self.uy)
+        columns = basis[:self.spec.sites][:, minus]
+        sectors = sectors[minus]
+        dplus = np.hstack([columns[:, sectors == k] @ b for k, b in enumerate(blocks)])
         return dplus, dplus.conj().T
 
     def export_triplets(self, stream) -> None:
@@ -501,10 +489,9 @@ def _sector_columns(rot_phase: np.ndarray, ref_phase: np.ndarray,
 
 
 def _sector_basis(ux: np.ndarray, uy: np.ndarray):
-    """The sparse unitary W of ``_sector_columns``, each column's sector
+    """The dense unitary W of ``_sector_columns``, each column's sector
     and its minus flag.  Links that keep S^4 = 1 but lack a symmetry give
     a W^* H_W W that is not real and block diagonal."""
-    import scipy.sparse as sp
     (_, rot_phase), (_, ref_phase) = _symmetries(ux, uy)
     geo = _geometry(ux.shape[0])
     sc = _sector_columns(rot_phase, ref_phase, geo)
@@ -517,8 +504,10 @@ def _sector_basis(ux: np.ndarray, uy: np.ndarray):
     rows = np.concatenate([rows, rows[:, sc.partner]])
     data = np.concatenate([data * sc.own, data[:, sc.partner] * sc.other])
     cols = np.broadcast_to(np.arange(size), rows.shape)
+    # the rows of a column are distinct, so each entry is set once
     nonzero = data != 0
-    basis = sp.csr_matrix((data[nonzero], (rows[nonzero], cols[nonzero])), shape=(size, size))
+    basis = np.zeros((size, size), dtype=complex)
+    basis[rows[nonzero], cols[nonzero]] = data[nonzero]
     return basis, sc.sector, sc.minus
 
 
