@@ -48,11 +48,10 @@ def _run(name: str, budget: float, body: Callable[[], str]) -> CriterionResult:
 
 
 def _random_multivector(rng, form: QuadraticForm, terms: int = 4) -> Multivector:
-    out = {}
-    for _ in range(terms):
-        mask = int(rng.integers(0, 1 << form.dim))
-        out[mask] = GaussianRational(int(rng.integers(-4, 5)))
-    return Multivector(form, out)
+    masks = rng.integers(0, 1 << form.dim, size=terms).tolist()
+    coefficients = rng.integers(-4, 5, size=terms).tolist()
+    # a repeated mask keeps its last coefficient
+    return Multivector(form, dict(zip(masks, coefficients)))
 
 
 def clifford_relations_and_associativity(seed: int = 0,
@@ -68,7 +67,7 @@ def clifford_relations_and_associativity(seed: int = 0,
                 z = _random_multivector(rng, form)
                 if (x * y) * z != x * (y * z):
                     raise AssertionError(f"associativity failed in Cl_{n}")
-                coords = [int(rng.integers(-4, 5)) for _ in range(n)]
+                coords = rng.integers(-4, 5, size=n).tolist()
                 v = Multivector.vector(form, coords)
                 q = form.value(coords)
                 if v * v != Multivector.scalar(form, -q):

@@ -22,6 +22,7 @@ MINUS_ODD = "minus-odd"
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+_I_SIGMA = np.array([1j * _S1, 1j * _S2])
 
 
 class ModuleError(ValueError):
@@ -57,26 +58,37 @@ class CliffordModule:
         return self.grading is not None
 
     def validate(self, tol: float = 0.0) -> None:
-        """Check generator relations (and grading oddness when present)."""
+        """Check generator relations (and grading oddness when present).
+
+        Every generator's shape is checked first.  The relations
+        g_i g_j + g_j g_i = -2 delta_ij are then checked one row i at a time,
+        as one stacked product of g_i with the generators j >= i (the
+        anticommutator is symmetric, so the first violating pair in row-major
+        order has j >= i); the grading's oddness is one stacked product with
+        all generators.  With ``tol == 0`` the relations must hold exactly,
+        otherwise every entry within ``tol``; a NaN entry never passes.  The
+        first violation raises :class:`ModuleError`.
+        """
         k, d = self.clifford_dim, self.dim
         if len(self.generators) != k:
             raise ModuleError(f"expected {k} generators, found {len(self.generators)}")
-        eye = np.eye(d)
-        for i, gi in enumerate(self.generators):
-            if gi.shape != (d, d):
-                raise ModuleError("generator shape mismatch")
-            for j, gj in enumerate(self.generators):
-                anti = gi @ gj + gj @ gi
-                target = -2 * eye if i == j else np.zeros((d, d))
-                if not _close(anti, target, tol):
-                    raise ModuleError(f"relation violated for generators {i + 1},{j + 1}")
+        if any(g.shape != (d, d) for g in self.generators):
+            raise ModuleError("generator shape mismatch")
+        gens = np.array(self.generators).reshape(k, d, d)
+        two_eye = 2 * np.eye(d, dtype=gens.dtype)
+        for i in range(k):
+            anti = gens[i] @ gens[i:] + gens[i:] @ gens[i]
+            anti[0] += two_eye      # the target is -2 I at j == i, 0 elsewhere
+            bad = _violations(anti, tol)
+            if bad.size:
+                raise ModuleError(f"relation violated for generators {i + 1},{i + bad[0] + 1}")
         if self.grading is not None:
             eps = self.grading
-            if not _close(eps @ eps, eye, tol):
+            if not _close(eps @ eps, np.eye(d), tol):
                 raise ModuleError("grading does not square to the identity")
-            for i, gi in enumerate(self.generators):
-                if not _close(eps @ gi + gi @ eps, np.zeros((d, d)), tol):
-                    raise ModuleError(f"generator {i + 1} is not odd for the grading")
+            bad = _violations(eps @ gens + gens @ eps, tol)
+            if bad.size:
+                raise ModuleError(f"generator {bad[0] + 1} is not odd for the grading")
 
     def to_json(self) -> dict:
         out = {"clifford_dim": self.clifford_dim,
@@ -97,6 +109,12 @@ def _close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     if tol == 0.0:
         return np.array_equal(a, b)
     return bool(np.max(np.abs(a - b)) <= tol) if a.size else True
+
+
+def _violations(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the matrices in the stack with an entry of modulus above
+    ``tol`` (nonzero for ``tol == 0``), NaN counting as above."""
+    return np.flatnonzero(~(np.abs(stack) <= tol).all(axis=(1, 2)))
 
 
 def _matrix_strings(m: np.ndarray) -> List[List[str]]:
@@ -137,14 +155,18 @@ def gamma_matrices(k: int) -> List[np.ndarray]:
         raise ValueError("gamma_matrices needs an even dimension >= 2")
     if k > MAX_CLIFFORD_DIM:
         raise ValueError(f"dimension capped at {MAX_CLIFFORD_DIM}")
-    gens = [1j * _S1, 1j * _S2]
+    gens = _I_SIGMA.copy()
     while len(gens) < k:
-        d = gens[0].shape[0]
-        eye = np.eye(d)
-        gens = [np.kron(g, _S3) for g in gens]
-        gens.append(np.kron(eye, 1j * _S1))
-        gens.append(np.kron(eye, 1j * _S2))
-    return gens
+        m, d = len(gens), gens.shape[1]
+        out = np.empty((m + 2, 2 * d, 2 * d), dtype=complex)
+        # np.kron(a, b)[2 r + s, 2 c + t] = a[r, c] * b[s, t], for all of
+        # the stack at once: g (x) sigma_3, then 1 (x) i sigma_1, 2
+        np.multiply(gens[:, :, None, :, None], _S3[:, None, :],
+                    out=out[:m].reshape(m, d, 2, d, 2))
+        np.multiply(np.eye(d)[:, None, :, None], _I_SIGMA[:, None, :, None, :],
+                    out=out[m:].reshape(2, d, 2, d, 2))
+        gens = out
+    return list(gens)
 
 
 def chirality_operator(module_or_gens) -> np.ndarray:
@@ -166,6 +188,35 @@ def volume_image(module: CliffordModule) -> np.ndarray:
     for g in module.generators:
         img = img @ g
     return img
+
+
+def blade_traces(gens: Sequence[np.ndarray]) -> np.ndarray:
+    """Traces of the images of all 2^n basis blades, indexed by blade mask.
+
+    A blade's image is the product of its generators in increasing index
+    order, so img(A | B) = img(A) img(B) when every index of A lies below
+    every index of B.  The images of the subsets of the low floor(n/2)
+    generators and of the high ceil(n/2) ones are built as two stacks, each
+    level one batched product, and tr(L_A H_B) = sum_ij L_A[i, j] H_B[j, i]
+    gives all 2^n traces from one product of the two flattened stacks.  For
+    generators with Gaussian-integer entries (``gamma_matrices`` and
+    ``odd_irreps``: one unit entry per row) every image and every trace is
+    exact.
+    """
+    low, d = len(gens) // 2, gens[0].shape[0]
+    lo, hi = _subset_images(gens[:low], d), _subset_images(gens[low:], d)
+    traces = lo.reshape(len(lo), -1) @ hi.transpose(0, 2, 1).reshape(len(hi), -1).T
+    # mask A | B << low sits at row A, column B
+    return traces.T.reshape(-1)
+
+
+def _subset_images(gens: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """The (2^m, d, d) stack of the products, in increasing index order, of
+    every subset of the m generators, indexed by subset mask."""
+    stack = np.eye(d, dtype=complex)[None]
+    for g in gens:
+        stack = np.concatenate([stack, stack @ g])
+    return stack
 
 
 def spinor_module(k: int) -> CliffordModule:
@@ -325,13 +376,15 @@ def decompose_module(module: CliffordModule, graded: Optional[bool] = None,
 
 
 def _is_float_module(module: CliffordModule) -> bool:
+    """Whether some generator or grading entry is not a Gaussian integer."""
     mats = list(module.generators)
     if module.grading is not None:
         mats.append(module.grading)
-    for m in mats:
-        if not np.allclose(m, np.round(m.real) + 1j * np.round(m.imag), atol=1e-12):
-            return True
-    return False
+    if not mats:
+        return False
+    # raveled, so a module whose shapes do not match reaches validate()
+    flat = np.concatenate([np.ravel(m) for m in mats])
+    return not np.allclose(flat, np.round(flat.real) + 1j * np.round(flat.imag), atol=1e-12)
 
 
 def _decompose_ungraded(k: int, gens: List[np.ndarray], dim: int, tol: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,18 +79,44 @@ class SymbolPolynomial:
 
     def evaluate_many(self, xis) -> np.ndarray:
         """The symbol at each row of the (P, base_dim) array ``xis``, as a
-        (P, rows, cols) stack; row p equals ``evaluate(xis[p])`` bitwise."""
+        (P, rows, cols) stack; row p equals ``evaluate(xis[p])`` bitwise.
+
+        The factor (i xi)^alpha of every term is formed at once, coordinate by
+        coordinate from 1 in order, from the powers (i xi_j)^k taken once per
+        distinct exponent k, and the terms are summed in dict order: the
+        arithmetic, and so every bit, of a per-term loop.
+        """
         xis = np.asarray(xis, dtype=float)
         if xis.ndim != 2 or xis.shape[1] != self.base_dim:
             raise ValueError("covector length must equal base dimension")
+        exponents, gather, coefficients = self._stack
+        z = (1j * xis).T
+        # numpy's z ** k takes another route for a Python int k than for an
+        # exponent array (z ** 2 squares), so each power keeps its scalar k
+        powers = np.array([z ** k for k in exponents], dtype=complex).reshape(
+            (len(exponents),) + z.shape)
+        # (base_dim, terms, P) gathered powers; a product reduction runs in
+        # order along its axis, from the initial 1 as the loop's factor does
+        factors = np.multiply.reduce(powers[gather], axis=0, initial=1.0 + 0.0j)
         out = np.zeros((len(xis),) + tuple(self.shape), dtype=complex)
-        z = 1j * xis
-        for alpha, a in self.terms.items():
-            factor = np.ones(len(xis), dtype=complex)
-            for zj, k in zip(z.T, alpha):
-                factor *= zj ** k
+        for factor, a in zip(factors, coefficients):
             out += factor[:, None, None] * a
         return out
+
+    @cached_property
+    def _stack(self) -> Tuple[list, Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The terms as one stack: the distinct exponents; the index pair that
+        takes the (exponents, base_dim, P) powers to the (base_dim, terms, P)
+        power of each term's exponent of each coordinate; and the (terms,
+        rows, cols) stack of coefficients."""
+        exponents = list(dict.fromkeys(k for alpha in self.terms for k in alpha))
+        position = {k: i for i, k in enumerate(exponents)}
+        which = np.array([[position[k] for k in alpha] for alpha in self.terms],
+                         dtype=int).reshape(len(self.terms), self.base_dim).T
+        coefficients = np.empty((len(self.terms),) + tuple(self.shape), dtype=complex)
+        for t, a in enumerate(self.terms.values()):
+            coefficients[t] = a
+        return exponents, (which, np.arange(self.base_dim)[:, None]), coefficients
 
 
 def principal_symbol(op: OperatorSpec) -> SymbolPolynomial:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindex import exactnum
+from spindex import clifford, exactnum
 from spindex.clifford import (AlgebraType, FormMismatchError, GaussianRational,
                               Multivector, QuadraticForm, blade_from_indices,
                               blade_grade, blade_indices, blade_product, blade_sign,
@@ -317,6 +317,10 @@ def test_embed_lower_sign_compatibility():
     (2, (("C", 2),)),
     (3, (("C", 2), ("C", 2))),
     (4, (("C", 4),)),
+    (9, (("C", 16), ("C", 16))),
+    (10, (("C", 32),)),
+    (11, (("C", 32), ("C", 32))),
+    (12, (("C", 64),)),
 ])
 def test_classify_complex(n, factors):
     assert classify_complex(n).factors == factors
@@ -341,6 +345,34 @@ def test_classify_real(p, m, expected):
     algebra = classify_real(p, m)
     assert str(algebra) == expected
     assert algebra.real_dimension() == 1 << (p + m)
+
+
+def _invariants_by_blades(p, m):
+    """Trace-form signature and center from all 2^n blades, one blade_sign
+    call and one commutation test per blade: the reference for classify_real."""
+    n = p + m
+    pos = QuadraticForm.of_signature(p, m).positive_mask
+    signature = sum(blade_sign(mask, mask, pos) for mask in range(1 << n))
+    center = [mask for mask in range(1 << n)
+              if all((mask.bit_count() - (mask >> i & 1)) % 2 == 0 for i in range(n))]
+    return signature, center
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_classify_real_matches_blade_loops(n):
+    assert clifford._center_blades(n) == _invariants_by_blades(n, 0)[1]
+    for p in range(n + 1):
+        signature, center = _invariants_by_blades(p, n - p)
+        algebra = classify_real(p, n - p)
+        # the trace form of M(k, R) has signature k, of M(k, C) 0, of M(k, H) -2k
+        per_factor = {"R": 1, "C": 0, "H": -2}
+        assert sum(per_factor[tag] * size for tag, size in algebra.factors) == signature
+        has_c = any(tag == "C" for tag, _ in algebra.factors)
+        assert len(center) == (2 if has_c or len(algebra.factors) == 2 else 1)
+        if len(center) == 2:
+            vol_sq = blade_sign(center[1], center[1],
+                                QuadraticForm.of_signature(p, n - p).positive_mask)
+            assert has_c == (vol_sq == -1)
 
 
 def test_algebra_type_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from spindex import spinors
 from spindex.spinors import (CliffordModule, MINUS_ODD, PLUS_ODD, UNIQUE_EVEN,
-                             chirality_operator, clifford_action,
+                             ModuleDecomposition, chirality_operator, clifford_action,
                              decompose_module, direct_sum, flip_grading,
                              gamma_matrices, graded_to_ungraded, odd_irreps,
                              restrict_module, spinor_module,
@@ -40,6 +40,50 @@ def test_dimension_two_module():
 
 def test_dimension_four_module():
     assert spinor_module(4).dim == 4
+
+
+_S1 = np.array([[0, 1], [1, 0]], dtype=complex)
+_S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _gamma_by_kron(k):
+    """One np.kron per generator and step: the reference for gamma_matrices."""
+    gens = [1j * _S1, 1j * _S2]
+    while len(gens) < k:
+        eye = np.eye(gens[0].shape[0])
+        gens = [np.kron(g, _S3) for g in gens]
+        gens.append(np.kron(eye, 1j * _S1))
+        gens.append(np.kron(eye, 1j * _S2))
+    return gens
+
+
+@pytest.mark.parametrize("k", range(2, 13, 2))
+def test_gamma_matrices_match_kron_recursion(k):
+    gens, ref = gamma_matrices(k), _gamma_by_kron(k)
+    assert len(gens) == k
+    for g, r in zip(gens, ref):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+def _blade_trace_loop(mask, gens):
+    """The image of one blade as a product chain: the reference for blade_traces."""
+    img = np.eye(gens[0].shape[0], dtype=complex)
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            img = img @ gens[i]
+    return complex(img.trace())
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_blade_traces_match_product_chains(n):
+    reps = ([gamma_matrices(n)] if n % 2 == 0
+            else [m.generators for m in odd_irreps(n)])
+    for gens in reps:
+        traces = spinors.blade_traces(gens)
+        assert traces.shape == (1 << n,)
+        assert [complex(t) for t in traces] == [_blade_trace_loop(m, gens)
+                                                for m in range(1 << n)]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -154,6 +198,93 @@ def test_decompose_rejects_broken_relations():
     bad = CliffordModule(2, (np.eye(2, dtype=complex), 1j * np.eye(2)), None)
     with pytest.raises(spinors.ModuleError):
         decompose_module(bad)
+
+
+@pytest.mark.parametrize("k,position", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_validate_checks_every_shape_first(k, position):
+    gens = list(gamma_matrices(k + k % 2)[:k])
+    gens[position] = np.eye(3, dtype=complex)
+    bad = CliffordModule(k, tuple(gens))
+    for check in (bad.validate, lambda: decompose_module(bad)):
+        with pytest.raises(spinors.ModuleError, match="^generator shape mismatch$"):
+            check()
+
+
+def _validate_by_pairs(module, tol):
+    """One product per generator pair, in row-major order: the reference for
+    validate (given generators of matching shapes)."""
+    def close(a, b):
+        if tol == 0.0:
+            return np.array_equal(a, b)
+        return bool(np.max(np.abs(a - b)) <= tol) if a.size else True
+
+    d = module.dim
+    eye = np.eye(d)
+    for i, gi in enumerate(module.generators):
+        for j, gj in enumerate(module.generators):
+            target = -2 * eye if i == j else np.zeros((d, d))
+            if not close(gi @ gj + gj @ gi, target):
+                raise spinors.ModuleError(f"relation violated for generators {i + 1},{j + 1}")
+    if module.grading is not None:
+        eps = module.grading
+        if not close(eps @ eps, eye):
+            raise spinors.ModuleError("grading does not square to the identity")
+        for i, gi in enumerate(module.generators):
+            if not close(eps @ gi + gi @ eps, np.zeros((d, d))):
+                raise spinors.ModuleError(f"generator {i + 1} is not odd for the grading")
+
+
+def _broken_modules():
+    """Modules each breaking one relation, the grading or its oddness."""
+    base = spinor_module(5)
+    d = base.dim
+    for g in range(5):
+        for (r, c), value in (((0, 0), 1e-3), ((d - 1, 2), 1.0), ((3, 1), np.nan)):
+            gens = [m.copy() for m in base.generators]
+            gens[g][r, c] += value
+            yield CliffordModule(5, tuple(gens), base.grading)
+    for a, b in ((1, 2), (2, 4), (3, 4), (0, 4)):
+        # a repeated generator breaks the one pair (a, b), from either side
+        for src, dst in ((a, b), (b, a)):
+            gens = list(base.generators)
+            gens[dst] = gens[src]
+            yield CliffordModule(5, tuple(gens), base.grading)
+    for j in range(4):
+        # i g_j squares to 1, anticommutes with every g_i but g_j and commutes with g_j
+        gens = gamma_matrices(4)
+        yield CliffordModule(4, tuple(gens), 1j * gens[j])
+    gens = gamma_matrices(4)
+    yield CliffordModule(4, tuple(gens), 2 * chirality_operator(gens))
+    eps = chirality_operator(gens).copy()
+    eps[1, 1] = np.nan
+    yield CliffordModule(4, tuple(gens), eps)
+    yield CliffordModule(2, (np.eye(2, dtype=complex), 1j * np.eye(2)), None)
+    yield CliffordModule(2, (np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])), None)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_validate_reports_the_first_violation_of_the_pair_loop(tol):
+    for module in _broken_modules():
+        with pytest.raises(spinors.ModuleError) as want:
+            _validate_by_pairs(module, tol)
+        with pytest.raises(spinors.ModuleError) as got:
+            module.validate(tol)
+        assert str(got.value) == str(want.value)
+
+
+def test_validate_accepts_integer_matrices():
+    rotation = CliffordModule(1, (np.array([[0, -1], [1, 0]]),))
+    for tol in (0.0, 1e-9):
+        rotation.validate(tol)
+    assert decompose_module(rotation) == ModuleDecomposition(1, False, {PLUS_ODD: 1, MINUS_ODD: 1})
+
+
+def test_validate_rejects_nan_at_every_tolerance():
+    gens = [g.copy() for g in gamma_matrices(4)]
+    gens[2][0, 1] = np.nan
+    for tol in (0.0, 1e-9, 1.0):
+        with pytest.raises(spinors.ModuleError, match="generators 1,3"):
+            CliffordModule(4, tuple(gens)).validate(tol)
 
 
 def test_graded_ungraded_equivalence():

@@ -131,6 +131,39 @@ def test_evaluate_many_matches_pointwise_loop_bitwise():
         sym.evaluate((1.0,) * (n + 1))
 
 
+def _evaluate_many_by_terms(sym, xis):
+    """One numpy call per term and coordinate: the reference for the stacked
+    evaluate_many (the same operations in the same order)."""
+    out = np.zeros((len(xis),) + tuple(sym.shape), dtype=complex)
+    z = 1j * xis
+    for alpha, a in sym.terms.items():
+        factor = np.ones(len(xis), dtype=complex)
+        for zj, k in zip(z.T, alpha):
+            factor *= zj ** k
+        out += factor[:, None, None] * a
+    return out
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_evaluate_many_matches_the_term_loop_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    eye = np.eye(dim)
+    xis = np.concatenate([symbols._sphere_points(dim, min(4 ** dim, symbols.MAX_SPHERE_POINTS)),
+                          eye, -eye, rng.normal(size=(50, dim)), np.zeros((1, dim))])
+    ops = [laplacian_operator(dim), dalembertian_operator(dim - 1)]
+    if dim % 2 == 0:
+        ops.append(dirac_operator(dim))
+    for op in ops:
+        sym = principal_symbol(op)
+        assert sym.evaluate_many(xis).tobytes() == _evaluate_many_by_terms(sym, xis).tobytes()
+
+
+def test_evaluate_many_without_top_order_terms_is_zero():
+    sym = principal_symbol(OperatorSpec(2, 2, (((1, 0), np.eye(2)),)))
+    assert sym.terms == {}
+    assert np.array_equal(sym.evaluate_many(np.ones((3, 2))), np.zeros((3, 2, 2)))
+
+
 def _halton_scalar(index, base):
     f, r = 1.0, 0.0
     while index > 0:
