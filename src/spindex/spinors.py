@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 MAX_CLIFFORD_DIM = 12
+MODULE_TOL = 1e-9   # decompose_module and symbols.abs_class validate at this tolerance
 
 UNIQUE_EVEN = "unique-even"
 PLUS_ODD = "plus-odd"
@@ -176,18 +177,21 @@ def chirality_operator(module_or_gens) -> np.ndarray:
     k = len(gens)
     if k % 2:
         raise ValueError("chirality operator needs an even generator count")
-    omega = np.eye(gens[0].shape[0], dtype=complex) * (1j ** (k // 2))
-    for g in gens:
-        omega = omega @ g
-    return omega
+    return _ordered_product(gens, gens[0].shape[0], 1j ** (k // 2))
 
 
 def volume_image(module: CliffordModule) -> np.ndarray:
     """Image of e_1 ... e_k under the module action."""
-    img = np.eye(module.dim, dtype=complex)
-    for g in module.generators:
-        img = img @ g
-    return img
+    return _ordered_product(module.generators, module.dim)
+
+
+def _ordered_product(factors: Sequence[np.ndarray], dim: int,
+                     scale: complex = 1) -> np.ndarray:
+    """scale * f_1 f_2 ... f_m, multiplied left to right from scale * I."""
+    out = np.eye(dim, dtype=complex) * scale
+    for f in factors:
+        out = out @ f
+    return out
 
 
 def blade_traces(gens: Sequence[np.ndarray]) -> np.ndarray:
@@ -241,7 +245,10 @@ def odd_irreps(k: int) -> Tuple[CliffordModule, CliffordModule]:
     """The two ungraded irreducibles of an odd-dimensional algebra.
 
     Returned as (plus, minus) where "plus" is the one whose represented
-    volume element e_1...e_k equals +i^ceil(k/2) times the identity.
+    volume element e_1...e_k equals +i^ceil(k/2) times the identity.  The
+    last generator is s i omega for the chirality omega = i^m B of the
+    k - 1 = 2m base gammas, whose product B squares to (-1)^m; the volume
+    B s i omega is then s (-1)^m i^(m+1), so "plus" takes s = (-1)^m.
     """
     if k % 2 == 0 or k < 1:
         raise ValueError("odd_irreps needs an odd dimension")
@@ -253,24 +260,10 @@ def odd_irreps(k: int) -> Tuple[CliffordModule, CliffordModule]:
     else:
         base = gamma_matrices(k - 1)
         omega = chirality_operator(base)
-    modules = []
-    for sign in (1, -1):
-        gens = tuple(base + [sign * 1j * omega])
-        modules.append(CliffordModule(k, gens, None))
-    plus = next(m for m in modules if _volume_label(m) == 1)
-    minus = next(m for m in modules if _volume_label(m) == -1)
+    s = (-1) ** ((k - 1) // 2)
+    plus, minus = (CliffordModule(k, tuple(base + [sign * 1j * omega]))
+                   for sign in (s, -s))
     return plus, minus
-
-
-def _volume_label(module: CliffordModule) -> int:
-    """+1/-1 according to volume image = +-i^ceil(k/2) * I (odd dim only)."""
-    k = module.clifford_dim
-    img = volume_image(module) / (1j ** ((k + 1) // 2))
-    d = module.dim
-    for s in (1, -1):
-        if np.allclose(img, s * np.eye(d), atol=1e-9):
-            return s
-    raise ModuleError("volume element does not act as a normalized scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -349,59 +342,65 @@ class ModuleDecomposition:
                 == {k: v for k, v in other.multiplicities.items() if v})
 
 
-def decompose_module(module: CliffordModule, graded: Optional[bool] = None,
-                     tol: float = 1e-9) -> ModuleDecomposition:
-    """Decompose into irreducibles using dimension counts and the trace of
-    the normalized central volume element.
+def decompose_module(module: CliffordModule,
+                     graded: Optional[bool] = None) -> ModuleDecomposition:
+    """Decompose into irreducibles using dimensions and traces only.
 
     Ungraded modules over an odd algebra split between ``plus-odd`` and
-    ``minus-odd`` (labels fixed by volume image = +-i^ceil(k/2) I); even
-    algebras have the single label ``unique-even``.  Graded modules are
-    reported through the equivalence with ungraded modules one dimension
-    down, e.g. a graded module over dimension 2 decomposes into ``plus-odd``
-    and ``minus-odd`` pieces of dimension-1 algebra modules.  For graded
-    dimension-0 modules, ``plus-odd``/``minus-odd`` name the two grading
-    lines.
+    ``minus-odd`` (labels fixed by volume image = +-i^ceil(k/2) I), read off
+    the trace of the volume image; even algebras have the single label
+    ``unique-even``.  Graded modules are reported through the equivalence
+    with ungraded modules one dimension down, e.g. a graded module over
+    dimension 2 decomposes into ``plus-odd`` and ``minus-odd`` pieces of
+    dimension-1 algebra modules.  For graded dimension-0 modules,
+    ``plus-odd``/``minus-odd`` name the two grading lines.
+
+    No basis of the grading's +1 space V+ is formed.  V+ is the range of
+    P = (1 + eps)/2, so for k = 0 its dimension is tr P = (dim + tr eps)/2.
+    For k >= 1 the odd, invertible g_k swaps V+ and V-, so dim V+ = dim/2.
+    The even part acts on V+ by e_i -> g_i g_k (i < k), and its volume
+    F = (g_1 g_k)...(g_{k-1} g_k) is even, so F commutes with eps and acts
+    on V+ with trace tr(P F) = (tr F + tr(eps F))/2.
+
+    The module is validated at the one tolerance ``MODULE_TOL``.  On a module
+    with Gaussian-integer entries every product entry is an exact Gaussian
+    integer, so every violation has modulus >= 1: the verdict and the first
+    message are those of exact validation, and every trace is exact.
     """
     if graded is None:
         graded = module.is_graded
     if graded and not module.is_graded:
         raise ValueError("graded decomposition of an ungraded module")
-    module.validate(tol=tol if _is_float_module(module) else 0.0)
-
-    if graded:
-        return _decompose_graded(module, tol)
-    return _decompose_ungraded(module.clifford_dim, list(module.generators),
-                               module.dim, tol, graded=False)
-
-
-def _is_float_module(module: CliffordModule) -> bool:
-    """Whether some generator or grading entry is not a Gaussian integer."""
-    mats = list(module.generators)
-    if module.grading is not None:
-        mats.append(module.grading)
-    if not mats:
-        return False
-    # raveled, so a module whose shapes do not match reaches validate()
-    flat = np.concatenate([np.ravel(m) for m in mats])
-    return not np.allclose(flat, np.round(flat.real) + 1j * np.round(flat.imag), atol=1e-12)
-
-
-def _decompose_ungraded(k: int, gens: List[np.ndarray], dim: int, tol: float,
-                        graded: bool) -> ModuleDecomposition:
+    module.validate(tol=MODULE_TOL)
+    k, dim, gens = module.clifford_dim, module.dim, module.generators
+    if not graded:
+        trace = np.trace(_ordered_product(gens, dim)) if k % 2 else None
+        return ModuleDecomposition(k, False, _multiplicities(k, dim, trace))
+    eps = module.grading
     if k == 0:
-        return ModuleDecomposition(0, graded, {UNIQUE_EVEN: dim})
+        n_plus = int(round((dim + np.trace(eps).real) / 2))
+        return ModuleDecomposition(0, True, {PLUS_ODD: n_plus, MINUS_ODD: dim - n_plus})
+    trace = None
+    if k % 2 == 0:
+        volume = _ordered_product([g @ gens[-1] for g in gens[:-1]], dim)
+        trace = (np.trace(volume) + np.trace(eps @ volume)) / 2
+    return ModuleDecomposition(k, True, _multiplicities(k - 1, dim // 2, trace))
+
+
+def _multiplicities(k: int, dim: int, volume_trace: Optional[complex]) -> Dict[str, int]:
+    """Multiplicities in an ungraded module of dimension ``dim`` over
+    dimension k whose volume e_1...e_k acts with trace ``volume_trace``
+    (read for odd k only)."""
+    if k == 0:
+        return {UNIQUE_EVEN: dim}
     if k % 2 == 0:
         irrep_dim = 1 << (k // 2)
         if dim % irrep_dim:
             raise ModuleError("dimension not a multiple of the irreducible dimension")
-        return ModuleDecomposition(k, graded, {UNIQUE_EVEN: dim // irrep_dim})
+        return {UNIQUE_EVEN: dim // irrep_dim}
     irrep_dim = 1 << ((k - 1) // 2)
-    img = np.eye(dim, dtype=complex)
-    for g in gens:
-        img = img @ g
-    tr = np.trace(img / (1j ** ((k + 1) // 2)))
-    if abs(tr.imag) > tol * max(dim, 1):
+    tr = volume_trace / (1j ** ((k + 1) // 2))
+    if abs(tr.imag) > MODULE_TOL * max(dim, 1):
         raise ModuleError("volume trace is not real after normalization")
     diff = tr.real / irrep_dim
     total = dim // irrep_dim
@@ -414,35 +413,14 @@ def _decompose_ungraded(k: int, gens: List[np.ndarray], dim: int, tol: float,
     m_minus = (total - diff) // 2
     if m_plus < 0 or m_minus < 0:
         raise ModuleError("negative multiplicity; relations must be violated")
-    return ModuleDecomposition(k, graded, {PLUS_ODD: m_plus, MINUS_ODD: m_minus})
-
-
-def _decompose_graded(module: CliffordModule, tol: float) -> ModuleDecomposition:
-    k = module.clifford_dim
-    if k == 0:
-        n_plus = _grading_eigenbasis(module.grading, +1).shape[1]
-        return ModuleDecomposition(0, True,
-                                   {PLUS_ODD: n_plus, MINUS_ODD: module.dim - n_plus})
-    under = graded_to_ungraded(module, tol=tol)
-    dec = _decompose_ungraded(k - 1, list(under.generators), under.dim, tol,
-                              graded=False)
-    return ModuleDecomposition(k, True, dict(dec.multiplicities))
+    return {PLUS_ODD: m_plus, MINUS_ODD: m_minus}
 
 
 # ---------------------------------------------------------------------------
 # graded <-> ungraded equivalence
 # ---------------------------------------------------------------------------
 
-def _grading_eigenbasis(grading: np.ndarray, sign: int) -> np.ndarray:
-    """Basis of the +1 or -1 eigenspace of a (possibly non-normal) grading."""
-    if grading.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, q = np.linalg.eig(grading)
-    keep = np.abs(w - sign) < 0.5
-    return q[:, keep]
-
-
-def graded_to_ungraded(module: CliffordModule, tol: float = 1e-9) -> CliffordModule:
+def graded_to_ungraded(module: CliffordModule) -> CliffordModule:
     """Even part of a graded module as an ungraded module one dimension down.
 
     The action on the grading's +1 eigenspace is pulled back along the
@@ -454,7 +432,11 @@ def graded_to_ungraded(module: CliffordModule, tol: float = 1e-9) -> CliffordMod
     k = module.clifford_dim
     if k == 0:
         raise ValueError("no lower algebra below dimension 0")
-    basis = _grading_eigenbasis(module.grading, +1)
+    if module.grading.shape[0]:
+        w, q = np.linalg.eig(module.grading)
+        basis = q[:, np.abs(w - 1) < 0.5]
+    else:
+        basis = np.zeros((0, 0), dtype=complex)
     dual = np.linalg.pinv(basis) if basis.size else basis.conj().T
     last = module.generators[-1]
     gens = []

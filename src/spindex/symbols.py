@@ -397,7 +397,7 @@ def abs_class(module: CliffordModule) -> SymbolClass:
     bases B_+- of the two eigenspaces."""
     if module.grading is None:
         raise ValueError("difference-bundle class needs a graded module")
-    module.validate(tol=0.0 if not spinors._is_float_module(module) else 1e-9)
+    module.validate(tol=spinors.MODULE_TOL)
     k = module.clifford_dim
     if module.dim == 0:
         return SymbolClass(np.zeros((k, 0, 0)))
