@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +41,8 @@ class OperatorSpec:
     terms: Tuple[Tuple[MultiIndex, np.ndarray], ...]
 
     def __post_init__(self):
+        if self.base_dim < 1:
+            raise ValueError("base dimension must be >= 1")
         if not self.terms:
             raise ValueError("operator needs at least one term")
         shape = None
@@ -54,6 +56,8 @@ class OperatorSpec:
             a = np.asarray(a)
             if a.ndim != 2:
                 raise ValueError("coefficients must be matrices")
+            if not np.isfinite(a).all():
+                raise ValueError("coefficients must be finite")
             if shape is None:
                 shape = a.shape
             elif a.shape != shape:
@@ -201,10 +205,11 @@ def _row_norms(c: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0])
 
 
+@lru_cache(maxsize=None)
 def _sphere_points(n: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy points on the unit sphere in R^n: the
     first ``count`` Halton points of the cube [-1, 1]^n (from index 1) whose
-    norm exceeds 1e-3, normalized."""
+    norm exceeds 1e-3, normalized.  Cached and read-only."""
     pts, start = np.zeros((0, n)), 1
     while len(pts) < count:
         idx = np.arange(start, start + count - len(pts))
@@ -214,6 +219,7 @@ def _sphere_points(n: int, count: int) -> np.ndarray:
         norm = _row_norms(v)
         keep = norm > 1e-3
         pts = np.concatenate([pts, v[keep] / norm[keep, None]])
+    pts.flags.writeable = False
     return pts
 
 
@@ -232,9 +238,13 @@ def is_elliptic(sym: SymbolPolynomial) -> EllipticityReport:
 
     Each refinement round tries PROBES_PER_ROUND probe directions, in order,
     around the running minimizer and moves to every probe that improves on
-    it.  One batch evaluates the remaining probes around the current centre;
-    after the first improving one the probes behind it are evaluated again
-    around the new centre, so the path is the one of a probe-by-probe loop.
+    it; a round without improvement shrinks the radius by 0.6.  One batch
+    evaluates the remaining probes around the current centre and, after
+    ``quiet`` rounds in a row without improvement, the probes of up to
+    2^min(quiet, 6) - 1 further rounds at their shrunk radii.  After the
+    first improving probe the probes behind it are evaluated again around the
+    new centre, so the path is the one of a probe-by-probe loop; only
+    ``evaluations`` counts the probes evaluated past it.
 
     A non-elliptic verdict carries a witness direction; when the witness
     snaps to a small integer covector the degeneracy is re-verified with an
@@ -259,24 +269,39 @@ def is_elliptic(sym: SymbolPolynomial) -> EllipticityReport:
     evaluations, minimum_round = len(pts), 0
 
     # local refinement: shrink a probe ball around the running minimizer
-    # (best_v is a unit vector and radius <= 0.5, so no probe is near zero)
-    radius = 0.5
-    probe_dirs = _sphere_points(n, PROBES_PER_ROUND)
-    for round_ in range(1, REFINE_ROUNDS + 1):
-        rest = probe_dirs
-        while len(rest):
-            cand = best_v + radius * rest
-            cand = cand / _row_norms(cand)[:, None]
-            lo, _ = _extreme_singular_values(sym, cand)
-            evaluations += len(cand)
-            better = np.flatnonzero(lo < best)
-            if not better.size:
-                break
+    # (best_v is a unit vector and radius <= 0.5, so no probe is near zero);
+    # while no probe improves, the centre stays and the radii are known, so
+    # a batch can hold the probes of rounds ahead
+    radius, quiet, round_ = 0.5, 0, 1
+    probe_dirs = rest = _sphere_points(n, PROBES_PER_ROUND)
+    while round_ <= REFINE_ROUNDS:
+        # quiet > 0 only at the start of a round, so a batch is the rest of
+        # this round or `ahead` whole rounds, each shrunk once more
+        ahead = min(1 << min(quiet, 6), REFINE_ROUNDS - round_ + 1)
+        radii = [radius]
+        while len(radii) < ahead:
+            radii.append(radii[-1] * 0.6)
+        cand = best_v + np.repeat(radii, len(rest))[:, None] * np.tile(rest, (ahead, 1))
+        cand = cand / _row_norms(cand)[:, None]
+        lo, _ = _extreme_singular_values(sym, cand)
+        evaluations += len(cand)
+        better = np.flatnonzero(lo < best)
+        if better.size:
+            # the `skip` rounds before the first improving probe ended without
+            # improvement; its round goes on from the probes behind it
             first = better[0]
+            skip, offset = divmod(int(first), len(rest))
+            round_, radius, quiet = round_ + skip, radii[skip], 0
             best, best_v, minimum_round = lo[first], cand[first], round_
-            rest = rest[first + 1:]
+            rest = rest[offset + 1:]
+            if len(rest):
+                continue
+        else:
+            quiet += ahead - (minimum_round == round_)
+            round_, radius = round_ + ahead - 1, radii[-1]
         if minimum_round != round_:
             radius *= 0.6
+        round_, rest = round_ + 1, probe_dirs
 
     threshold = ELLIPTIC_RTOL * max(scale, 1e-300)
     if best > threshold:

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindex import spinors, symbols
 from spindex.symbols import (OperatorSpec, SymbolClass,
@@ -49,6 +53,15 @@ def test_operator_spec_validation():
         OperatorSpec(2, 1, (((1,), np.eye(2)),))
     with pytest.raises(ValueError):
         OperatorSpec(1, 1, (((2,), np.eye(2)),))
+    # is_elliptic would fail inside numpy on either: no sphere to sample,
+    # or an SVD that does not converge
+    with pytest.raises(ValueError, match="base dimension"):
+        OperatorSpec(0, 0, (((), np.eye(2)),))
+    for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+        a = np.eye(2, dtype=complex)
+        a[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OperatorSpec(2, 1, (((1, 0), np.eye(2)), ((0, 1), a)))
 
 
 def test_symbol_homogeneity():
@@ -195,32 +208,34 @@ def test_sphere_points_match_scalar_halton_bitwise(n):
 
 
 # Reports of the symbols that the benchmark, the acceptance suite and the CLI
-# test; every field but evaluations and minimum_round is the value of the
-# probe-by-probe implementation this one replaced.  The floats are those of
-# numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another LAPACK build may round
-# the SVDs differently and move the last digits and the refinement path.
+# test.  Every field but evaluations is the value of the one-round-per-batch
+# loop below, and so of the probe-by-probe implementation before it;
+# evaluations also counts the probes of rounds that a batch ran ahead of the
+# path.  The floats are those of numpy 2.4 with OpenBLAS 0.3.31 on x86-64;
+# another LAPACK build may round the SVDs differently and move the last
+# digits and the refinement path.
 _GOLDEN_REPORTS = {
     "laplacian-2": (laplacian_operator(2), dict(
         elliptic=True, min_singular=0.9999999999999996, scale=1.0000000000000002,
-        samples=20, evaluations=1501, minimum_round=28)),
+        samples=20, evaluations=2269, minimum_round=28)),
     "laplacian-3": (laplacian_operator(3), dict(
         elliptic=True, min_singular=0.9999999999999996, scale=1.0000000000000002,
-        samples=70, evaluations=1521, minimum_round=4)),
+        samples=70, evaluations=1689, minimum_round=4)),
     "laplacian-4": (laplacian_operator(4), dict(
         elliptic=True, min_singular=0.9999999999999996, scale=1.0000000000000004,
-        samples=264, evaluations=1706, minimum_round=4)),
+        samples=264, evaluations=1874, minimum_round=4)),
     "dalembertian-2": (dalembertian_operator(1), dict(
         elliptic=False, min_singular=2.999633874622987e-11, scale=1.0,
-        samples=20, evaluations=1710, minimum_round=59,
+        samples=20, evaluations=2526, minimum_round=59,
         witness=(-0.7071067811865475, -0.7071067811865475), witness_exact=(-1, -1))),
     "dalembertian-3": (dalembertian_operator(2), dict(
         elliptic=False, min_singular=7.939135460155455e-13, scale=1.0,
-        samples=70, evaluations=1616, minimum_round=59,
+        samples=70, evaluations=2192, minimum_round=59,
         witness=(-0.7071067811865475, -0.7071067811865475, 0.0),
         witness_exact=(-1, -1, 0))),
     "dalembertian-4": (dalembertian_operator(3), dict(
         elliptic=False, min_singular=2.687906841547516e-09, scale=1.0,
-        samples=264, evaluations=2102, minimum_round=60,
+        samples=264, evaluations=2582, minimum_round=60,
         witness=(-0.7071067811865475, -0.7071067811865475, 0.0, 0.0),
         witness_exact=(-1, -1, 0, 0))),
     "dirac-2": (dirac_operator(2), dict(
@@ -237,6 +252,113 @@ def test_ellipticity_reports_golden(name):
     operator, fields = _GOLDEN_REPORTS[name]
     report = is_elliptic(principal_symbol(operator))
     assert report == symbols.EllipticityReport(**fields)
+
+
+def _is_elliptic_one_round(sym):
+    """is_elliptic with one batch per refinement round at most: the path
+    that the multi-round batches must reproduce."""
+    n = sym.base_dim
+    eye = np.eye(n)
+    pts = np.concatenate([symbols._sphere_points(n, min(4 ** n, symbols.MAX_SPHERE_POINTS)),
+                          np.stack([eye, -eye], axis=1).reshape(2 * n, n)])
+    lo, hi = symbols._extreme_singular_values(sym, pts)
+    first = int(np.argmin(lo))
+    best, best_v, scale = lo[first], pts[first], hi.max()
+    evaluations, minimum_round = len(pts), 0
+    radius = 0.5
+    probe_dirs = symbols._sphere_points(n, symbols.PROBES_PER_ROUND)
+    for round_ in range(1, symbols.REFINE_ROUNDS + 1):
+        rest = probe_dirs
+        while len(rest):
+            cand = best_v + radius * rest
+            cand = cand / symbols._row_norms(cand)[:, None]
+            lo, _ = symbols._extreme_singular_values(sym, cand)
+            evaluations += len(cand)
+            better = np.flatnonzero(lo < best)
+            if not better.size:
+                break
+            first = better[0]
+            best, best_v, minimum_round = lo[first], cand[first], round_
+            rest = rest[first + 1:]
+        if minimum_round != round_:
+            radius *= 0.6
+    threshold = symbols.ELLIPTIC_RTOL * max(scale, 1e-300)
+    if best > threshold:
+        return symbols.EllipticityReport(True, float(best), float(scale), len(pts),
+                                         evaluations, minimum_round)
+    witness = tuple(float(x) for x in best_v)
+    exact = symbols._snap_exact_witness(sym, best_v)
+    if exact is not None:
+        norm = math.sqrt(sum(x * x for x in exact))
+        witness = tuple(x / norm for x in exact)
+    return symbols.EllipticityReport(False, float(best), float(scale), len(pts),
+                                     evaluations, minimum_round, witness, exact)
+
+
+def _report_and_probes(elliptic, sym):
+    """The report of ``elliptic(sym)`` and the bytes of every covector at
+    which it evaluated the symbol."""
+    probes = set()
+    extreme = symbols._extreme_singular_values
+
+    def recording(sym, xis):
+        probes.update(row.tobytes() for row in xis)
+        return extreme(sym, xis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symbols, "_extreme_singular_values", recording)
+        return elliptic(sym), probes
+
+
+def _assert_same_path(sym):
+    report, probes = _report_and_probes(is_elliptic, sym)
+    reference, reference_probes = _report_and_probes(_is_elliptic_one_round, sym)
+    # every probe of the one-round path, bit for bit, and perhaps more
+    assert reference_probes <= probes
+    assert report.evaluations >= reference.evaluations
+    assert dataclasses.replace(report, evaluations=0) == \
+        dataclasses.replace(reference, evaluations=0)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
+def test_ellipticity_path_matches_one_round_batches_golden(name):
+    _assert_same_path(principal_symbol(_GOLDEN_REPORTS[name][0]))
+
+
+@pytest.mark.parametrize("coefficient", [np.zeros((2, 2)), np.zeros((0, 0))])
+def test_ellipticity_path_matches_one_round_batches_degenerate(coefficient):
+    # the zero symbol and the 0 x 0 symbol never improve on the scan
+    _assert_same_path(principal_symbol(OperatorSpec(2, 1, (((1, 0), coefficient),))))
+
+
+@st.composite
+def _gaussian_integer_operators(draw):
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 3))
+    alphas = [a for a in itertools.product(range(order + 1), repeat=n) if sum(a) == order]
+    chosen = draw(st.lists(st.sampled_from(alphas), min_size=1, max_size=len(alphas),
+                           unique=True))
+    entries = st.integers(-2, 2)
+    terms = []
+    for alpha in chosen:
+        re = draw(st.lists(entries, min_size=size * size, max_size=size * size))
+        im = draw(st.lists(entries, min_size=size * size, max_size=size * size))
+        terms.append((alpha, (np.array(re) + 1j * np.array(im)).reshape(size, size)))
+    return OperatorSpec(n, order, tuple(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gaussian_integer_operators())
+def test_ellipticity_path_matches_one_round_batches_random(op):
+    _assert_same_path(principal_symbol(op))
+
+
+def test_sphere_points_are_cached_and_read_only():
+    pts = symbols._sphere_points(3, 24)
+    assert symbols._sphere_points(3, 24) is pts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
 
 
 # -- difference-bundle classes ---------------------------------------------------
